@@ -13,7 +13,6 @@ from .bounds import (
     StatBounds,
     VarBounds,
     p_value_bounds,
-    rank_sum_bounds_distinct,
     stat_bounds_distinct,
     stat_bounds_general,
     variance_bounds,
@@ -94,7 +93,6 @@ __all__ = [
     "p_value_bounds",
     "pair_probs",
     "rank_sum",
-    "rank_sum_bounds_distinct",
     "relative_change",
     "robust_test_distinct",
     "robust_test_general",

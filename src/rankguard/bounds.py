@@ -8,27 +8,25 @@ closed below/above, observed values sitting exactly on an endpoint tighten
 the interval, because missing values cannot fall strictly beyond them.
 
 The same idea bounds the tie-corrected null variance over completions, and
-from the two rectangles a sandwich for the attainable two-sided p-value
-follows (the lower p bound needs the smallest variance, the upper the
-largest).
+from the two rectangles a sandwich for the attainable p-value follows, for
+the two-sided and both one-sided alternatives (the two-sided lower p bound
+needs the smallest variance, the upper the largest).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exceptions import DegenerateDataError, DomainError
-from .gaussian import normal_cdf
-from .ranks import Sample, Support, null_variance, rank_sum, tie_profile, wmw_statistic
+from .exceptions import DomainError
+from .ranks import Sample, Support, _doubled_wmw_statistic, null_variance, tie_profile
+from .wmw import Alternative, tail_p
 
 __all__ = [
     "StatBounds",
     "BoundaryCounts",
     "VarBounds",
-    "rank_sum_bounds_distinct",
     "stat_bounds_distinct",
     "stat_bounds_general",
     "variance_bounds",
@@ -107,46 +105,15 @@ def _require_distinct(x_obs: Sequence[float], y_obs: Sequence[float]) -> None:
         )
 
 
-def rank_sum_bounds_distinct(
-    x_obs: Sequence[float], y_obs: Sequence[float], n: int, m: int
-) -> tuple[Fraction, Fraction]:
-    """Extreme rank sums of the full x sample over all missing-value placements.
-
-    Requires pairwise distinct observed values and an unbounded domain. The
-    minimum puts every missing value below everything observed (and missing
-    y values above the missing x values); the maximum mirrors that.
-    """
-    n1, m1 = len(x_obs), len(y_obs)
-    if n1 < 1 or m1 < 1:
-        raise DomainError("need at least one observed value on each side")
-    if n1 > n or m1 > m:
-        raise DomainError("observed counts exceed the declared totals")
-    _require_distinct(x_obs, y_obs)
-    r_obs = rank_sum(x_obs, list(x_obs) + list(y_obs))
-    low = r_obs + Fraction((n - n1) * (n + n1 + 1), 2)
-    high = r_obs + Fraction(n * (n + 2 * m + 1) - n1 * (n1 + 2 * m1 + 1), 2)
-    return low, high
-
-
 def stat_bounds_distinct(x: Sample, y: Sample) -> StatBounds:
     """Attainable statistic range for distinct observed values, unbounded domain.
 
-    w_min is the observed-data statistic itself; w_max adds nm - n'm', the
-    number of cross pairs involving at least one missing value.
+    This is :func:`stat_bounds_general` with no support endpoints: w_min is
+    the observed-data statistic itself, and w_max adds nm - n'm', the number
+    of cross pairs involving at least one missing value.
     """
-    if x.n_observed < 1 or y.n_observed < 1:
-        raise DomainError("need at least one observed value on each side")
     _require_distinct(x.observed, y.observed)
-    w_obs = wmw_statistic(x.observed, y.observed)
-    slack = x.total * y.total - x.n_observed * y.n_observed
-    return StatBounds(
-        w_min=w_obs,
-        w_max=w_obs + slack,
-        n=x.total,
-        m=y.total,
-        n_obs_x=x.n_observed,
-        n_obs_y=y.n_observed,
-    )
+    return stat_bounds_general(x, y, Support())
 
 
 def stat_bounds_general(x: Sample, y: Sample, support: Support) -> StatBounds:
@@ -164,18 +131,19 @@ def stat_bounds_general(x: Sample, y: Sample, support: Support) -> StatBounds:
     if x.n_observed < 1 or y.n_observed < 1:
         raise DomainError("need at least one observed value on each side")
     for label, sample in (("x", x), ("y", y)):
-        for v in sample.observed:
-            if not support.contains(v):
-                raise DomainError(f"observed {label} value {v!r} lies outside the support")
+        # observed values are sorted, so the extremes decide containment
+        if not (support.contains(sample.observed[0]) and support.contains(sample.observed[-1])):
+            v = next(v for v in sample.observed if not support.contains(v))
+            raise DomainError(f"observed {label} value {v!r} lies outside the support")
     counts = BoundaryCounts.from_observed(x.observed, y.observed, support)
     n, m = x.total, y.total
     n1, m1 = x.n_observed, y.n_observed
-    w_obs = wmw_statistic(x.observed, y.observed)
+    w2 = _doubled_wmw_statistic(x.observed, y.observed)
     t1 = counts.y_at_lower * (n - n1) + counts.x_at_upper * (m - m1)
     t2 = counts.x_at_lower * (m - m1) + counts.y_at_upper * (n - n1)
     return StatBounds(
-        w_min=w_obs + Fraction(t1, 2),
-        w_max=w_obs + (n * m - n1 * m1) - Fraction(t2, 2),
+        w_min=Fraction(w2 + t1, 2),
+        w_max=Fraction(w2 + 2 * (n * m - n1 * m1) - t2, 2),
         n=n,
         m=m,
         n_obs_x=n1,
@@ -205,37 +173,43 @@ def variance_bounds(x: Sample, y: Sample) -> VarBounds:
     return VarBounds(sigma2_min=sigma2_min, sigma2_max=sigma2_max, d_max=d_max)
 
 
-def _two_sided_p(w: Fraction, mu: Fraction, sigma2: Fraction) -> float:
-    z = -abs(float(w - mu)) / math.sqrt(float(sigma2))
-    return 2.0 * normal_cdf(z)
-
-
 def p_value_bounds(
-    bounds: StatBounds, var: VarBounds, mu: Fraction | None = None
+    bounds: StatBounds, var: VarBounds, alternative: Alternative = Alternative.TWO_SIDED
 ) -> tuple[float, float, bool]:
-    """Sandwich (p_low, p_high, same_sign) for the attainable two-sided p-value.
+    """Sandwich (p_low, p_high, same_sign) for the attainable p-value.
 
-    When both endpoints of [w_min, w_max] sit on the same side of the null
-    mean, p_high standardises the endpoint nearer the mean with the largest
-    variance and p_low the farther endpoint with the smallest variance.
-    Otherwise an interior completion can reach the mean, so p_high = 1.
-
-    The smallest variance genuinely matters for p_low: a middling completion
-    with heavy ties can be more extreme after standardisation than either
-    statistic endpoint.
+    Two-sided: when both endpoints of [w_min, w_max] sit on the same side of
+    the null mean, p_high standardises the endpoint nearer the mean with the
+    largest variance and p_low the farther endpoint with the smallest
+    variance. Otherwise an interior completion can reach the mean, so
+    p_high = 1. The smallest variance genuinely matters for p_low: a
+    middling completion with heavy ties can be more extreme after
+    standardisation than either statistic endpoint. One-sided alternatives
+    are monotone in the statistic: the extremes sit at the endpoints, with
+    the variance chosen adversarially for the sign of the deviation. A zero
+    variance takes the point-mass limit of :func:`tail_p`.
     """
-    if mu is None:
-        mu = bounds.mu
-    if var.sigma2_min == 0:
-        raise DegenerateDataError(
-            "some completion is fully tied (zero variance); p-value bounds are undefined"
-        )
-    p1 = _two_sided_p(bounds.w_min, mu, var.sigma2_max)
-    p2 = _two_sided_p(bounds.w_max, mu, var.sigma2_max)
-    p3 = _two_sided_p(bounds.w_max, mu, var.sigma2_min)
-    p4 = _two_sided_p(bounds.w_min, mu, var.sigma2_min)
-    if bounds.w_min >= mu and bounds.w_max >= mu:
-        return p3, p1, True
-    if bounds.w_min < mu and bounds.w_max < mu:
-        return p4, p2, True
-    return min(p3, p4), 1.0, False
+    mu = bounds.mu
+    qmin = bounds.w_min - mu
+    qmax = bounds.w_max - mu
+    lo, hi = var.sigma2_min, var.sigma2_max
+    if alternative is Alternative.TWO_SIDED:
+        p1 = tail_p(qmin, hi, alternative)
+        p2 = tail_p(qmax, hi, alternative)
+        p3 = tail_p(qmax, lo, alternative)
+        p4 = tail_p(qmin, lo, alternative)
+        if qmin >= 0 and qmax >= 0:
+            return p3, p1, True
+        if qmin < 0 and qmax < 0:
+            return p4, p2, True
+        return min(p3, p4), 1.0, False
+    same_sign = (qmin >= 0 and qmax >= 0) or (qmin <= 0 and qmax <= 0)
+    if alternative is Alternative.X_GREATER:
+        # worst case at w_min, best case at w_max
+        p_high = tail_p(qmin, hi if qmin >= 0 else lo, alternative)
+        p_low = tail_p(qmax, lo if qmax >= 0 else hi, alternative)
+        return p_low, p_high, same_sign
+    # X_LESS mirrors X_GREATER with the roles of the endpoints swapped
+    p_high = tail_p(qmax, hi if qmax <= 0 else lo, alternative)
+    p_low = tail_p(qmin, lo if qmin <= 0 else hi, alternative)
+    return p_low, p_high, same_sign

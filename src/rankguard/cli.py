@@ -24,7 +24,7 @@ from .exceptions import DegenerateDataError, DomainError
 from .multiplicity import holm_adjust
 from .power import PowerInputs, asymptotic_class, mcar_power, pair_probs
 from .ranks import Sample, Support
-from .robust import feasibility, robust_test_distinct, robust_test_general
+from .robust import TestReport, feasibility, robust_test_distinct, robust_test_general
 from .simulate import MissingnessSpec, ScenarioSpec, sweep, write_results_csv
 from .wmw import Alternative
 
@@ -85,9 +85,19 @@ def _emit(payload: dict[str, Any], fmt: str) -> None:
         writer.writerow(flat.values())
 
 
-def _has_ties(x_obs: Sequence[float], y_obs: Sequence[float]) -> bool:
-    pooled = list(x_obs) + list(y_obs)
-    return len(set(pooled)) != len(pooled)
+def _robust_report(
+    x: Sample, y: Sample, support: Support | None, ties: str, alpha: float, alternative: Alternative
+) -> TestReport:
+    """Robust test in the variant that --ties selects; "auto" takes the general
+    variant when a support is given or the observed values tie."""
+    if ties == "auto":
+        pooled = x.observed + y.observed
+        use_general = support is not None or len(set(pooled)) != len(pooled)
+    else:
+        use_general = ties == "on"
+    if use_general:
+        return robust_test_general(x, y, support or Support(), alpha, alternative)
+    return robust_test_distinct(x, y, alpha, alternative)
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
@@ -114,13 +124,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     support = _parse_support(args.support) if args.support is not None else None
     alternative = Alternative.parse(args.alternative)
 
-    use_general = {"on": True, "off": False}.get(
-        args.ties, support is not None or _has_ties(x_values, y_values)
-    )
-    if use_general:
-        report = robust_test_general(x, y, support or Support(), args.alpha, alternative)
-    else:
-        report = robust_test_distinct(x, y, args.alpha, alternative)
+    report = _robust_report(x, y, support, args.ties, args.alpha, alternative)
     payload = report.to_dict()
     payload["feasibility"] = feasibility(
         n_total, m_total, x.n_observed, y.n_observed, args.alpha
@@ -304,15 +308,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if group == args.control:
             continue
         treated = samples[group]
-        use_general = {"on": True, "off": False}.get(
-            args.ties, support is not None or _has_ties(control.observed, treated.observed)
-        )
-        if use_general:
-            report = robust_test_general(
-                control, treated, support or Support(), args.alpha, alternative
-            )
-        else:
-            report = robust_test_distinct(control, treated, args.alpha, alternative)
+        report = _robust_report(control, treated, support, args.ties, args.alpha, alternative)
         entry = {"group": group, **report.to_dict()}
         entry["feasible"] = feasibility(
             control.total, treated.total, control.n_observed, treated.n_observed, args.alpha

@@ -114,9 +114,6 @@ class Support:
         return True
 
 
-UNBOUNDED = Support()
-
-
 @dataclass(frozen=True)
 class TieProfile:
     """Multiplicities of the distinct values of a pooled multiset, in value order."""
@@ -170,20 +167,24 @@ def rank_sum(sub: Sequence[float], pool: Sequence[float]) -> Fraction:
     return Fraction(_doubled_rank_sum(sub, pool_sorted), 2)
 
 
-def wmw_statistic(x: Sequence[float], y: Sequence[float]) -> Fraction:
-    """Two-sample rank statistic: rank sum of x in the pool, less n(n+1)/2.
-
-    Ranges over [0, nm]; with distinct values it counts the pairs with
-    x above y, and ties contribute half a count.
-    """
+def _doubled_wmw_statistic(x: Sequence[float], y: Sequence[float]) -> int:
+    """Twice :func:`wmw_statistic`, as an exact int."""
     x = list(x)
     y = list(y)
     if not x or not y:
         raise DegenerateDataError("both samples must contain at least one value")
     n = len(x)
     pool_sorted = np.sort(np.asarray(x + y, dtype=float))
-    doubled = _doubled_rank_sum(x, pool_sorted) - n * (n + 1)
-    return Fraction(doubled, 2)
+    return _doubled_rank_sum(x, pool_sorted) - n * (n + 1)
+
+
+def wmw_statistic(x: Sequence[float], y: Sequence[float]) -> Fraction:
+    """Two-sample rank statistic: rank sum of x in the pool, less n(n+1)/2.
+
+    Ranges over [0, nm]; with distinct values it counts the pairs with
+    x above y, and ties contribute half a count.
+    """
+    return Fraction(_doubled_wmw_statistic(x, y), 2)
 
 
 def tie_profile(pool: Sequence[float]) -> TieProfile:

@@ -8,12 +8,12 @@ carries the attainable p-value range [p_min, p_max]; significance is exactly
 p_max < alpha, and p_min < alpha <= p_max marks the awkward middle ground
 where the verdict genuinely depends on the unseen values.
 
-Two variants are provided. ``robust_test_distinct`` assumes distinct values
-on an unbounded domain and uses the plain interval [W', W' + nm - n'm'] with
-the uncorrected null variance. ``robust_test_general`` allows ties and a
+Two variants are provided. ``robust_test_general`` allows ties and a
 closed support: the interval tightens via boundary counts, and the decision
 standardises with the largest attainable tie-corrected variance, which is
-the conservative choice for the rejection tails.
+the conservative choice for the rejection tails. ``robust_test_distinct`` is
+the same test with unbounded support and the variance pinned at the
+uncorrected null variance, so its interval is the plain [W', W' + nm - n'm'].
 
 ``feasibility`` answers a cheaper question first: given only how much data
 is missing, can any observed values be significant at all? Below the
@@ -29,10 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .bounds import StatBounds, VarBounds, stat_bounds_general, variance_bounds
+from .bounds import StatBounds, VarBounds, p_value_bounds, stat_bounds_general, variance_bounds
 from .exceptions import DegenerateDataError, DomainError
-from .gaussian import normal_cdf, normal_quantile
-from .ranks import Sample, Support, null_variance, wmw_statistic
+from .gaussian import normal_quantile
+from .ranks import Sample, Support, null_variance
 from .wmw import Alternative
 
 __all__ = [
@@ -117,58 +117,6 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
-def _z(q: Fraction, sigma2: Fraction) -> float:
-    """Standardised deviation q/sigma with the zero-variance limit built in."""
-    if sigma2 == 0:
-        if q == 0:
-            return 0.0
-        return math.inf if q > 0 else -math.inf
-    return float(q) / math.sqrt(float(sigma2))
-
-
-def _fold(score: float) -> float:
-    """Two-sided p from a CDF score; extreme statistics score near 0 or 1."""
-    return 1.0 - abs(1.0 - 2.0 * score)
-
-
-def _p_range(
-    bounds: StatBounds,
-    var: VarBounds,
-    alternative: Alternative,
-) -> tuple[float, float, bool]:
-    """Worst-case and best-case p over completions, plus the same-sign flag.
-
-    Two-sided: the upper bound standardises with sigma_max (tails only widen
-    with smaller variance, so sigma_max is what the rejection decision may
-    rely on); the lower bound needs sigma_min. One-sided alternatives are
-    monotone in the statistic, so the extremes sit at the interval endpoints
-    with the variance chosen adversarially for the sign of the deviation.
-    """
-    mu = bounds.mu
-    qmin = bounds.w_min - mu
-    qmax = bounds.w_max - mu
-    same_sign = (qmin >= 0 and qmax >= 0) or (qmin <= 0 and qmax <= 0)
-    if alternative is Alternative.TWO_SIDED:
-        p1 = 2.0 * normal_cdf(-abs(_z(qmin, var.sigma2_max)))
-        p2 = 2.0 * normal_cdf(-abs(_z(qmax, var.sigma2_max)))
-        p3 = 2.0 * normal_cdf(-abs(_z(qmax, var.sigma2_min)))
-        p4 = 2.0 * normal_cdf(-abs(_z(qmin, var.sigma2_min)))
-        if qmin >= 0 and qmax >= 0:
-            return p3, p1, True
-        if qmin < 0 and qmax < 0:
-            return p4, p2, True
-        return min(p3, p4), 1.0, False
-    if alternative is Alternative.X_GREATER:
-        # p = 1 - CDF score; worst case at w_min, best case at w_max
-        p_high = 1.0 - normal_cdf(_z(qmin, var.sigma2_max if qmin >= 0 else var.sigma2_min))
-        p_low = 1.0 - normal_cdf(_z(qmax, var.sigma2_min if qmax >= 0 else var.sigma2_max))
-        return p_low, p_high, same_sign
-    # X_LESS mirrors X_GREATER with the roles of the endpoints swapped
-    p_high = normal_cdf(_z(qmax, var.sigma2_max if qmax <= 0 else var.sigma2_min))
-    p_low = normal_cdf(_z(qmin, var.sigma2_min if qmin <= 0 else var.sigma2_max))
-    return p_low, p_high, same_sign
-
-
 def _decide(p_min: float, p_max: float, alpha: float) -> Decision:
     if p_max < alpha:
         return Decision.SIGNIFICANT
@@ -177,25 +125,38 @@ def _decide(p_min: float, p_max: float, alpha: float) -> Decision:
     return Decision.NOT_SIGNIFICANT
 
 
-def _no_information_report(
-    x: Sample, y: Sample, alpha: float, alternative: Alternative, var: VarBounds, variant: str
+def _robust_test(
+    x: Sample,
+    y: Sample,
+    support: Support,
+    var: VarBounds,
+    alpha: float,
+    alternative: Alternative,
+    variant: str,
 ) -> TestReport:
-    # One side entirely missing: any statistic value in [0, nm] is attainable
-    # and nothing can be concluded.
-    bounds = StatBounds(
-        w_min=Fraction(0),
-        w_max=Fraction(x.total * y.total),
-        n=x.total,
-        m=y.total,
-        n_obs_x=x.n_observed,
-        n_obs_y=y.n_observed,
-    )
+    if x.n_observed == 0 or y.n_observed == 0:
+        # One side entirely missing: any statistic value in [0, nm] is
+        # attainable and nothing can be concluded.
+        bounds = StatBounds(
+            w_min=Fraction(0),
+            w_max=Fraction(x.total * y.total),
+            n=x.total,
+            m=y.total,
+            n_obs_x=x.n_observed,
+            n_obs_y=y.n_observed,
+        )
+        p_min, p_max, same_sign = 0.0, 1.0, False
+        decision = Decision.NOT_SIGNIFICANT
+    else:
+        bounds = stat_bounds_general(x, y, support)
+        p_min, p_max, same_sign = p_value_bounds(bounds, var, alternative)
+        decision = _decide(p_min, p_max, alpha)
     return TestReport(
-        decision=Decision.NOT_SIGNIFICANT,
-        p_min=0.0,
-        p_max=1.0,
+        decision=decision,
+        p_min=p_min,
+        p_max=p_max,
         w_bounds=bounds,
-        condition_same_sign=False,
+        condition_same_sign=same_sign,
         alpha=alpha,
         alternative=alternative,
         variance=var,
@@ -211,38 +172,16 @@ def robust_test_distinct(
 ) -> TestReport:
     """Missing-data-robust test for distinct values on an unbounded domain.
 
-    The attainable interval is [W', W' + (nm - n'm')] and the reference law
-    has the uncorrected variance nm(n+m+1)/12. Ties in the observed data are
-    tolerated (the statistic uses midranks) but do not tighten anything
-    here; use :func:`robust_test_general` to exploit them.
+    This is the general test with no support endpoints and the variance
+    pinned at the uncorrected nm(n+m+1)/12: the attainable interval is
+    [W', W' + (nm - n'm')]. Ties in the observed data are tolerated (the
+    statistic uses midranks) but do not tighten anything here; use
+    :func:`robust_test_general` to exploit them.
     """
     _check_alpha(alpha)
-    n, m = x.total, y.total
-    sigma2 = null_variance(n, m)
+    sigma2 = null_variance(x.total, y.total)
     var = VarBounds(sigma2_min=sigma2, sigma2_max=sigma2, d_max=1)
-    if x.n_observed == 0 or y.n_observed == 0:
-        return _no_information_report(x, y, alpha, alternative, var, "distinct")
-    w_obs = wmw_statistic(x.observed, y.observed)
-    bounds = StatBounds(
-        w_min=w_obs,
-        w_max=w_obs + (n * m - x.n_observed * y.n_observed),
-        n=n,
-        m=m,
-        n_obs_x=x.n_observed,
-        n_obs_y=y.n_observed,
-    )
-    p_min, p_max, same_sign = _p_range(bounds, var, alternative)
-    return TestReport(
-        decision=_decide(p_min, p_max, alpha),
-        p_min=p_min,
-        p_max=p_max,
-        w_bounds=bounds,
-        condition_same_sign=same_sign,
-        alpha=alpha,
-        alternative=alternative,
-        variance=var,
-        variant="distinct",
-    )
+    return _robust_test(x, y, Support(), var, alpha, alternative, "distinct")
 
 
 def robust_test_general(
@@ -266,21 +205,7 @@ def robust_test_general(
             "pooled sample holds a single distinct value with nothing missing; "
             "no completion can ever reject"
         )
-    if x.n_observed == 0 or y.n_observed == 0:
-        return _no_information_report(x, y, alpha, alternative, var, "general")
-    bounds = stat_bounds_general(x, y, support)
-    p_min, p_max, same_sign = _p_range(bounds, var, alternative)
-    return TestReport(
-        decision=_decide(p_min, p_max, alpha),
-        p_min=p_min,
-        p_max=p_max,
-        w_bounds=bounds,
-        condition_same_sign=same_sign,
-        alpha=alpha,
-        alternative=alternative,
-        variance=var,
-        variant="general",
-    )
+    return _robust_test(x, y, support, var, alpha, alternative, "general")
 
 
 def feasibility(

@@ -18,10 +18,12 @@ Methods
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -159,9 +161,11 @@ class ScenarioResult:
     elapsed: float
 
 
+@functools.lru_cache(maxsize=None)
 def _missing_count(n_values: int, s: float) -> int:
-    # nearest integer, halves rounded down: ceil(s*n - 1/2)
-    return max(0, math.ceil(s * n_values - 0.5))
+    """s*n to the nearest integer, halves rounded down, with s taken at its
+    decimal value. Exact, because in floats 0.55 * 50 is 27.500000000000004."""
+    return max(0, math.ceil(Fraction(repr(float(s))) * n_values - Fraction(1, 2)))
 
 
 def apply_mcar(values: Sequence[float], s: float, rng: np.random.Generator) -> Sample:
@@ -242,7 +246,7 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> dict[str, list[int]
                         y_s,
                         strategy,
                         alternative,
-                        rng=stream(_ROLE_HOT_DECK),
+                        rng=stream(_ROLE_HOT_DECK) if method == "hot_deck" else None,
                         complete_x=x_full,
                         complete_y=y_full,
                     )

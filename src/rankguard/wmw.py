@@ -17,6 +17,7 @@ from .ranks import Sample, null_variance, tie_corrected_variance, tie_profile, w
 
 __all__ = [
     "Alternative",
+    "tail_p",
     "wmw_test",
     "impute_mean",
     "impute_hot_deck",
@@ -48,14 +49,19 @@ class Alternative(enum.Enum):
         return table[key]
 
 
-def _p_value(w: Fraction, n: int, m: int, sigma2: Fraction, alternative: Alternative) -> float:
-    if sigma2 <= 0:
-        raise DegenerateDataError("pooled sample is fully tied; the statistic has zero variance")
-    z = float(w - Fraction(n * m, 2)) / math.sqrt(float(sigma2))
+def tail_p(q: Fraction, sigma2: Fraction, alternative: Alternative) -> float:
+    """Normal-law p-value of the centred statistic q = w - nm/2 at variance sigma2.
+
+    Two-sided p is 2 Phi(-|z|), which keeps its accuracy far out in either
+    tail. With sigma2 = 0 the law is a point mass at nm/2, so z is 0 at the
+    mean and infinite away from it.
+    """
+    if sigma2 == 0:
+        z = 0.0 if q == 0 else (math.inf if q > 0 else -math.inf)
+    else:
+        z = float(q) / math.sqrt(float(sigma2))
     if alternative is Alternative.TWO_SIDED:
-        # fold the CDF score: extreme statistics land near either 0 or 1
-        score = normal_cdf(z)
-        return 1.0 - abs(1.0 - 2.0 * score)
+        return 2.0 * normal_cdf(-abs(z))
     if alternative is Alternative.X_GREATER:
         return 1.0 - normal_cdf(z)
     return normal_cdf(z)
@@ -83,7 +89,9 @@ def wmw_test(
         sigma2 = tie_corrected_variance(n, m, tie_profile(x_obs + y_obs))
     else:
         sigma2 = null_variance(n, m)
-    return w, _p_value(w, n, m, sigma2, alternative)
+    if sigma2 <= 0:
+        raise DegenerateDataError("pooled sample is fully tied; the statistic has zero variance")
+    return w, tail_p(w - Fraction(n * m, 2), sigma2, alternative)
 
 
 def impute_mean(sample: Sample) -> list[float]:

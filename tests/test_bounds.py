@@ -5,13 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankguard import (
+    Alternative,
     BoundaryCounts,
-    DegenerateDataError,
     DomainError,
     Sample,
     Support,
     p_value_bounds,
-    rank_sum_bounds_distinct,
+    rank_sum,
+    robust_test_distinct,
+    robust_test_general,
     stat_bounds_distinct,
     stat_bounds_general,
     tie_corrected_variance,
@@ -40,30 +42,34 @@ def enumerated_stats(x: Sample, y: Sample, grid):
     ]
 
 
+def shifted_distinct_bounds(x_obs, y_obs, n, m):
+    """Extreme rank sums of the full x sample: the distinct statistic bounds
+    shifted by n(n+1)/2."""
+    x = Sample(tuple(x_obs), n - len(x_obs))
+    y = Sample(tuple(y_obs), m - len(y_obs))
+    b = stat_bounds_distinct(x, y)
+    shift = Fraction(n * (n + 1), 2)
+    return b.w_min + shift, b.w_max + shift
+
+
 class TestRankSumBoundsDistinct:
     def test_no_missing_degenerates_to_observed_rank_sum(self):
         x, y = [1.0, 5.0], [2.0, 8.0]
-        lo, hi = rank_sum_bounds_distinct(x, y, 2, 2)
-        from rankguard import rank_sum
-
+        lo, hi = shifted_distinct_bounds(x, y, 2, 2)
         assert lo == hi == rank_sum(x, x + y)
 
     def test_two_point_example(self):
-        lo, hi = rank_sum_bounds_distinct([1.0], [2.0], 2, 1)
+        lo, hi = shifted_distinct_bounds([1.0], [2.0], 2, 1)
         assert (lo, hi) == (3, 4)
 
     def test_two_point_example_matches_enumeration(self):
-        sums = []
-        for cx, cy in distinct_completions([1.0], [2.0], 1, 0):
-            from rankguard import rank_sum
-
-            sums.append(rank_sum(cx, cx + cy))
-        lo, hi = rank_sum_bounds_distinct([1.0], [2.0], 2, 1)
+        sums = [rank_sum(cx, cx + cy) for cx, cy in distinct_completions([1.0], [2.0], 1, 0)]
+        lo, hi = shifted_distinct_bounds([1.0], [2.0], 2, 1)
         assert min(sums) == lo and max(sums) == hi
 
     def test_rejects_ties(self):
         with pytest.raises(DomainError):
-            rank_sum_bounds_distinct([1.0, 1.0], [2.0], 3, 1)
+            shifted_distinct_bounds([1.0, 1.0], [2.0], 3, 1)
 
     @given(
         st.sets(st.integers(0, 30), min_size=2, max_size=5),
@@ -79,13 +85,11 @@ class TestRankSumBoundsDistinct:
         if not y_obs:
             return
         n, m = len(x_obs) + miss_x, len(y_obs) + miss_y
-        from rankguard import rank_sum
-
         sums = [
             rank_sum(cx, cx + cy)
             for cx, cy in distinct_completions(x_obs, y_obs, miss_x, miss_y)
         ]
-        lo, hi = rank_sum_bounds_distinct(x_obs, y_obs, n, m)
+        lo, hi = shifted_distinct_bounds(x_obs, y_obs, n, m)
         assert min(sums) == lo
         assert max(sums) == hi
 
@@ -242,10 +246,12 @@ class TestPValueBounds:
         assert same_sign
 
     def test_degenerate_pool(self):
+        # the fully tied completion has zero variance; at that point-mass
+        # limit an interval straddling the mean gives p from 0 to 1
         x = Sample((2.0,), 1)
         y = Sample((2.0,), 0)
-        with pytest.raises(DegenerateDataError):
-            p_value_bounds(stat_bounds_general(x, y, Support(0, 5)), variance_bounds(x, y))
+        b = stat_bounds_general(x, y, Support(0, 5))
+        assert p_value_bounds(b, variance_bounds(x, y)) == (0.0, 1.0, False)
 
     def test_worked_example_orders_and_needs_sigma_min(self):
         x, y = Sample(X7), Sample(Y6, 1)
@@ -282,3 +288,22 @@ class TestPValueBounds:
                     for cx, cy in grid_completions(x_obs, y_obs, miss_x, miss_y, grid):
                         p = oracle_two_sided_p(cx, cy)
                         assert p_low - 1e-12 <= p <= p_high + 1e-12
+
+    def test_kernel_reproduces_robust_reports_on_small_grid(self):
+        grid = (1.0, 2.0, 3.0)
+        support = Support(1, 3)
+        for x_obs in all_multisets(grid, 2):
+            for y_obs in all_multisets(grid, 2):
+                for miss_x, miss_y in ((1, 0), (1, 1), (0, 2)):
+                    x, y = Sample(x_obs, miss_x), Sample(y_obs, miss_y)
+                    general = variance_bounds(x, y).sigma2_max > 0
+                    for alt in Alternative:
+                        reports = [robust_test_distinct(x, y, alternative=alt)]
+                        if general:
+                            reports.append(robust_test_general(x, y, support, alternative=alt))
+                        for r in reports:
+                            assert p_value_bounds(r.w_bounds, r.variance, alt) == (
+                                r.p_min,
+                                r.p_max,
+                                r.condition_same_sign,
+                            )

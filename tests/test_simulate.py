@@ -14,7 +14,7 @@ from rankguard import (
     sweep,
     write_results_csv,
 )
-from rankguard.simulate import CSV_COLUMNS
+from rankguard.simulate import CSV_COLUMNS, _missing_count
 
 
 def small_spec(**overrides):
@@ -49,6 +49,17 @@ class TestApplyMcar:
         rng = np.random.default_rng(0)
         assert apply_mcar(list(range(50)), 0.05, rng).n_missing == 2
         assert apply_mcar(list(range(50)), 0.15, rng).n_missing == 7
+        # 0.55 * 50 is 27.500000000000004 in floats
+        assert apply_mcar(list(range(50)), 0.55, rng).n_missing == 27
+
+    def test_count_is_exact_at_every_percent(self):
+        # s = i/100 on n values: i*n/100 to the nearest integer, halves
+        # rounded down, is ceil((2*i*n - 100) / 200) in integer arithmetic
+        count = _missing_count.__wrapped__
+        for i in range(1, 100):
+            s = i / 100
+            for n in range(1, 1001):
+                assert count(n, s) == max(0, -((100 - 2 * i * n) // 200)), (n, s)
 
     def test_seed_reproducibility(self):
         values = list(np.arange(40.0))

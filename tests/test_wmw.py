@@ -94,9 +94,17 @@ class TestWmwTest:
     def test_matches_scipy_asymptotic_no_continuity(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(11)
-        for _ in range(40):
-            x = rng.integers(0, 6, size=rng.integers(3, 15)).astype(float)
-            y = rng.integers(0, 6, size=rng.integers(3, 15)).astype(float)
+        cases = [
+            (
+                rng.integers(0, 6, size=rng.integers(3, 15)).astype(float),
+                rng.integers(0, 6, size=rng.integers(3, 15)).astype(float),
+            )
+            for _ in range(40)
+        ]
+        # fully separated samples: the two-sided p lies far out in the tail
+        low, high = np.arange(100.0), np.arange(100.0, 200.0)
+        cases += [(low, high), (high, low)]
+        for x, y in cases:
             if len(set(x.tolist() + y.tolist())) == 1:
                 continue
             w, p = wmw_test(list(x), list(y))
@@ -104,7 +112,7 @@ class TestWmwTest:
                 x, y, alternative="two-sided", method="asymptotic", use_continuity=False
             )
             assert float(w) == pytest.approx(ref.statistic)
-            assert p == pytest.approx(ref.pvalue, rel=1e-10)
+            assert p == pytest.approx(ref.pvalue, rel=1e-10, abs=0)
 
     def test_null_rejection_rate_is_calibrated(self):
         # continuous data, no missingness, alpha = 0.05
