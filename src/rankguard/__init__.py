@@ -52,7 +52,7 @@ from .simulate import (
     sweep,
     write_results_csv,
 )
-from .wmw import Alternative, impute_hot_deck, impute_mean, strategy_test, wmw_test
+from .wmw import Alternative, impute_hot_deck, impute_mean, wmw_test
 
 __version__ = "0.1.0"
 
@@ -99,7 +99,6 @@ __all__ = [
     "run_scenario",
     "stat_bounds_distinct",
     "stat_bounds_general",
-    "strategy_test",
     "sweep",
     "tie_corrected_variance",
     "tie_profile",

@@ -179,31 +179,29 @@ def p_value_bounds(
     """Sandwich (p_low, p_high, same_sign) for the attainable p-value.
 
     Two-sided: when both endpoints of [w_min, w_max] sit on the same side of
-    the null mean, p_high standardises the endpoint nearer the mean with the
-    largest variance and p_low the farther endpoint with the smallest
-    variance. Otherwise an interior completion can reach the mean, so
-    p_high = 1. The smallest variance genuinely matters for p_low: a
-    middling completion with heavy ties can be more extreme after
-    standardisation than either statistic endpoint. One-sided alternatives
-    are monotone in the statistic: the extremes sit at the endpoints, with
-    the variance chosen adversarially for the sign of the deviation. A zero
-    variance takes the point-mass limit of :func:`tail_p`.
+    the null mean (an endpoint at the mean is on either side), p_high takes
+    the endpoint nearer the mean with the largest variance and p_low the
+    farther endpoint with the smallest variance. Otherwise an interior
+    completion can reach the mean, so p_high = 1. The smallest variance
+    genuinely matters for p_low: a middling completion with heavy ties can
+    be more extreme after standardisation than either statistic endpoint.
+    One-sided alternatives are monotone in the statistic: the extremes sit at
+    the endpoints, with the variance chosen adversarially for the sign of the
+    deviation. A zero variance takes the point-mass limit of :func:`tail_p`.
     """
     mu = bounds.mu
     qmin = bounds.w_min - mu
     qmax = bounds.w_max - mu
     lo, hi = var.sigma2_min, var.sigma2_max
+    same_sign = (qmin >= 0 and qmax >= 0) or (qmin <= 0 and qmax <= 0)
     if alternative is Alternative.TWO_SIDED:
         p1 = tail_p(qmin, hi, alternative)
         p2 = tail_p(qmax, hi, alternative)
         p3 = tail_p(qmax, lo, alternative)
         p4 = tail_p(qmin, lo, alternative)
-        if qmin >= 0 and qmax >= 0:
-            return p3, p1, True
-        if qmin < 0 and qmax < 0:
-            return p4, p2, True
-        return min(p3, p4), 1.0, False
-    same_sign = (qmin >= 0 and qmax >= 0) or (qmin <= 0 and qmax <= 0)
+        if not same_sign:
+            return min(p3, p4), 1.0, False
+        return (p3, p1, True) if qmin >= 0 else (p4, p2, True)
     if alternative is Alternative.X_GREATER:
         # worst case at w_min, best case at w_max
         p_high = tail_p(qmin, hi if qmin >= 0 else lo, alternative)

@@ -17,22 +17,24 @@ Methods
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .distributions import make_distribution
 from .exceptions import DegenerateDataError, DomainError
 from .ranks import Sample, Support
-from .robust import Decision, robust_test_distinct, robust_test_general
-from .wmw import Alternative, strategy_test
+from .robust import _check_alpha, robust_test_distinct, robust_test_general
+from .wmw import Alternative, impute_hot_deck, impute_mean, wmw_test
 
 __all__ = [
     "MECHANISMS",
@@ -103,6 +105,7 @@ class ScenarioSpec:
         for method in self.methods:
             if method not in METHODS:
                 raise DomainError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
+        _check_alpha(self.alpha)
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if self.seed < 0:
@@ -214,14 +217,14 @@ def _resolve_support(spec: ScenarioSpec) -> Support:
     return Support(lower=lower, upper=upper)
 
 
-def _run_block(spec: ScenarioSpec, start: int, stop: int) -> dict[str, list[int]]:
+def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, int]]:
     dist_x = make_distribution(spec.dist_x)
     dist_y = make_distribution(spec.dist_y)
     support = _resolve_support(spec)
     alternative = Alternative.parse(spec.alternative)
     ms_x = spec.mechanism_for("x")
     ms_y = spec.mechanism_for("y")
-    tallies = {method: [0, 0] for method in spec.methods}  # [rejections, degenerate]
+    tallies: Counter[tuple[str, int]] = Counter()  # (method, 0) rejected, (method, 1) degenerate
     for trial in range(start, stop):
         def stream(role: int) -> np.random.Generator:
             return np.random.default_rng([spec.seed, trial, role])
@@ -231,54 +234,58 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> dict[str, list[int]
         x_s = _apply_missingness(x_full, ms_x, stream(_ROLE_MISS_X))
         y_s = _apply_missingness(y_full, ms_y, stream(_ROLE_MISS_Y))
         for method in spec.methods:
-            tally = tallies[method]
+            # one p-value per method; a robust test is SIGNIFICANT iff p_max < alpha
             try:
                 if method == "proposed":
-                    report = robust_test_distinct(x_s, y_s, spec.alpha, alternative)
-                    rejected = report.decision is Decision.SIGNIFICANT
+                    p = robust_test_distinct(x_s, y_s, spec.alpha, alternative).p_max
                 elif method == "proposed_ties":
-                    report = robust_test_general(x_s, y_s, support, spec.alpha, alternative)
-                    rejected = report.decision is Decision.SIGNIFICANT
-                else:
-                    strategy = "mean" if method == "mean_impute" else method
-                    _, p = strategy_test(
-                        x_s,
-                        y_s,
-                        strategy,
-                        alternative,
-                        rng=stream(_ROLE_HOT_DECK) if method == "hot_deck" else None,
-                        complete_x=x_full,
-                        complete_y=y_full,
-                    )
-                    rejected = p < spec.alpha
+                    p = robust_test_general(x_s, y_s, support, spec.alpha, alternative).p_max
+                elif method == "ignore":
+                    _, p = wmw_test(x_s.observed, y_s.observed, alternative)
+                elif method == "mean_impute":
+                    _, p = wmw_test(impute_mean(x_s), impute_mean(y_s), alternative)
+                elif method == "hot_deck":
+                    rng = stream(_ROLE_HOT_DECK)
+                    x_i, y_i = impute_hot_deck(x_s, rng), impute_hot_deck(y_s, rng)
+                    _, p = wmw_test(x_i, y_i, alternative)
+                else:  # oracle
+                    _, p = wmw_test(x_full, y_full, alternative)
             except DegenerateDataError:
-                tally[1] += 1
+                tallies[method, 1] += 1
                 continue
-            if rejected:
-                tally[0] += 1
+            if p < spec.alpha:
+                tallies[method, 0] += 1
     return tallies
+
+
+def _run(specs: Sequence[ScenarioSpec], workers: int) -> Iterator[ScenarioResult]:
+    """Run every cell in blocks of ceil(trials / workers) trials, all through one
+    process pool when there are several workers and blocks. A result's elapsed
+    is the wall time since the previous cell finished, the first's from the start."""
+    blocks = []
+    for spec in specs:
+        chunk = -(-spec.trials // max(1, min(workers, spec.trials)))
+        blocks += [(spec, i, min(i + chunk, spec.trials)) for i in range(0, spec.trials, chunk)]
+    merged: Counter[tuple[str, int]] = Counter()
+    t0 = time.perf_counter()
+    pool = ProcessPoolExecutor(min(workers, len(blocks))) if workers > 1 and len(blocks) > 1 else None
+    with pool or contextlib.nullcontext():
+        tallies = pool.map(_run_block, *zip(*blocks)) if pool else (_run_block(*b) for b in blocks)
+        for (spec, _, stop), tally in zip(blocks, tallies):
+            merged.update(tally)
+            if stop == spec.trials:
+                outcomes = {
+                    method: MethodOutcome(merged[method, 0], merged[method, 1], spec.trials)
+                    for method in spec.methods
+                }
+                now = time.perf_counter()
+                yield ScenarioResult(spec=spec, outcomes=outcomes, elapsed=now - t0)
+                merged, t0 = Counter(), now
 
 
 def run_scenario(spec: ScenarioSpec, workers: int = 1) -> ScenarioResult:
     """Execute all trials of one scenario; deterministic in (spec, seed)."""
-    t0 = time.perf_counter()
-    if workers <= 1 or spec.trials == 1:
-        merged = _run_block(spec, 0, spec.trials)
-    else:
-        workers = min(workers, spec.trials)
-        chunk = -(-spec.trials // workers)
-        ranges = [(i, min(i + chunk, spec.trials)) for i in range(0, spec.trials, chunk)]
-        merged = {method: [0, 0] for method in spec.methods}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block in pool.map(_run_block, [spec] * len(ranges), *zip(*ranges)):
-                for method, (rej, deg) in block.items():
-                    merged[method][0] += rej
-                    merged[method][1] += deg
-    outcomes = {
-        method: MethodOutcome(rejections=rej, degenerate=deg, trials=spec.trials)
-        for method, (rej, deg) in merged.items()
-    }
-    return ScenarioResult(spec=spec, outcomes=outcomes, elapsed=time.perf_counter() - t0)
+    return list(_run([spec], workers))[0]
 
 
 def sweep(
@@ -287,10 +294,11 @@ def sweep(
     sizes: Iterable[tuple[int, int]] | None = None,
     workers: int = 1,
 ) -> list[ScenarioResult]:
-    """Cartesian sweep of a base scenario over missing fractions and sizes."""
+    """Cartesian sweep of a base scenario over missing fractions and sizes;
+    with several workers, every cell runs in the same process pool."""
     s_list = [None] if s_values is None else list(s_values)
     size_list = [None] if sizes is None else list(sizes)
-    results = []
+    specs = []
     for nm in size_list:
         for s in s_list:
             spec = base
@@ -300,8 +308,8 @@ def sweep(
                 spec = replace(
                     spec, missingness=tuple(replace(ms, s=s) for ms in spec.missingness)
                 )
-            results.append(run_scenario(spec, workers=workers))
-    return results
+            specs.append(spec)
+    return list(_run(specs, workers))
 
 
 CSV_COLUMNS = (

@@ -1,6 +1,6 @@
-"""Classical normal-approximation rank test, plus the usual ways of coping
-with missing values before running it: drop them, impute them, or (in
-simulations only) peek at the truth."""
+"""Classical normal-approximation rank test, plus the usual ways of filling
+in missing values before running it: the observed mean, or donors drawn
+from the same sample."""
 
 from __future__ import annotations
 
@@ -21,8 +21,6 @@ __all__ = [
     "wmw_test",
     "impute_mean",
     "impute_hot_deck",
-    "strategy_test",
-    "STRATEGIES",
 ]
 
 
@@ -111,37 +109,3 @@ def impute_hot_deck(sample: Sample, rng: np.random.Generator) -> list[float]:
         return list(sample.observed)
     donors = rng.choice(np.asarray(sample.observed), size=sample.n_missing, replace=True)
     return list(sample.observed) + [float(v) for v in donors]
-
-
-STRATEGIES = ("ignore", "mean", "hot_deck", "oracle")
-
-
-def strategy_test(
-    x: Sample,
-    y: Sample,
-    strategy: str,
-    alternative: Alternative = Alternative.TWO_SIDED,
-    rng: np.random.Generator | None = None,
-    complete_x: Sequence[float] | None = None,
-    complete_y: Sequence[float] | None = None,
-) -> tuple[Fraction, float]:
-    """Run the classical test after one of the standard missing-data workarounds.
-
-    ignore    drop the missing values;
-    mean      mean-impute each side (always tie-corrected: imputation ties);
-    hot_deck  donor-impute each side from its own observed values;
-    oracle    use the true complete data (simulation use; pass complete_x/y).
-    """
-    if strategy not in STRATEGIES:
-        raise DomainError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if strategy == "ignore":
-        return wmw_test(x.observed, y.observed, alternative)
-    if strategy == "mean":
-        return wmw_test(impute_mean(x), impute_mean(y), alternative)
-    if strategy == "hot_deck":
-        if rng is None:
-            raise DomainError("hot_deck requires an rng")
-        return wmw_test(impute_hot_deck(x, rng), impute_hot_deck(y, rng), alternative)
-    if complete_x is None or complete_y is None:
-        raise DomainError("oracle strategy requires the complete data")
-    return wmw_test(complete_x, complete_y, alternative)

@@ -213,6 +213,18 @@ class TestSimulateCommand:
         )
         assert code == EXIT_BAD_INPUT and "proposed_ties" in err
 
+    def test_alpha_zero_exits_2_before_any_trial(self, capsys, tmp_path, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("rankguard.simulate._run_block", no_trials)
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(SCENARIO.replace("alpha = 0.05", "alpha = 0"))
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--out", str(out))
+        assert code == EXIT_BAD_INPUT and "alpha" in err
+        assert not out.exists()
+
     def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(SCENARIO.replace("trials = 1", "trials = 16"))

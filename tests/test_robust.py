@@ -186,6 +186,27 @@ class TestRobustGeneral:
                             assert oracle_two_sided_p(cx, cy) < 0.3
         assert significant_seen > 0
 
+    def test_same_sign_flag_is_mirror_symmetric(self):
+        # swapping the samples maps w to nm - w, so [mu - k, mu] becomes
+        # [mu, mu + k]: both lie on one side of the mean, for every alternative
+        for alt in Alternative:
+            left = robust_test_distinct(Sample((1.0,), 1), Sample((2.0,)), alternative=alt)
+            right = robust_test_distinct(Sample((2.0,)), Sample((1.0,), 1), alternative=alt)
+            assert left.w_bounds.w_max == left.w_bounds.mu
+            assert left.condition_same_sign and right.condition_same_sign
+        grid = (1.0, 2.0, 3.0)
+        support = Support(1, 3)
+        for x_obs in all_multisets(grid, 2):
+            for y_obs in all_multisets(grid, 2):
+                for miss_x, miss_y in ((1, 0), (1, 1), (0, 2)):
+                    x, y = Sample(x_obs, miss_x), Sample(y_obs, miss_y)
+                    for alt in Alternative:
+                        flags = [
+                            robust_test_general(a, b, support, alternative=alt).condition_same_sign
+                            for a, b in ((x, y), (y, x))
+                        ]
+                        assert flags[0] == flags[1]
+
     def test_one_sided_alternatives_mirror_under_sample_swap(self):
         rng = np.random.default_rng(44)
         support = Support(lower=0)

@@ -1,5 +1,6 @@
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rankguard import (
     sweep,
     write_results_csv,
 )
+from rankguard import simulate
 from rankguard.simulate import CSV_COLUMNS, _missing_count
 
 
@@ -113,6 +115,11 @@ class TestScenarioSpec:
         with pytest.raises(DomainError, match="mnar_positive"):
             MissingnessSpec("mar", 0.1)
 
+    def test_alpha_outside_unit_interval_is_rejected(self):
+        for alpha in (0.0, 1.0, 1.5, -0.05, float("nan")):
+            with pytest.raises(DomainError, match="alpha"):
+                small_spec(alpha=alpha)
+
     def test_conflicting_rules_for_one_side(self):
         with pytest.raises(DomainError, match="conflicting"):
             small_spec(
@@ -205,6 +212,26 @@ class TestSweep:
     def test_single_cell_equals_run_scenario(self):
         spec = small_spec(trials=20)
         assert sweep(spec)[0].outcomes == run_scenario(spec).outcomes
+
+    def test_one_pool_serves_every_cell(self, monkeypatch):
+        pools = []
+
+        class CountingPool(simulate.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        base = small_spec(trials=6)
+        serial = sweep(base, s_values=[0.0, 0.1, 0.2], workers=1)
+        assert pools == []
+        t0 = time.perf_counter()
+        parallel = sweep(base, s_values=[0.0, 0.1, 0.2], workers=2)
+        wall = time.perf_counter() - t0
+        assert len(pools) == 1
+        assert [r.outcomes for r in parallel] == [r.outcomes for r in serial]
+        assert all(r.elapsed >= 0 for r in parallel)
+        assert sum(r.elapsed for r in parallel) <= wall
 
     def test_empty_grid(self):
         assert sweep(small_spec(), s_values=[]) == []

@@ -10,7 +10,6 @@ from rankguard import (
     impute_mean,
     normal_cdf,
     normal_quantile,
-    strategy_test,
     wmw_test,
 )
 
@@ -155,25 +154,15 @@ class TestImputation:
 
 
 class TestStrategyTest:
+    """The classical test after each standard missing-data workaround."""
+
     def test_all_strategies_agree_without_missing_data(self):
         x = Sample((1.0, 5.0, 9.0))
         y = Sample((2.0, 4.0, 8.0))
         rng = np.random.default_rng(3)
-        results = {
-            s: strategy_test(x, y, s, rng=rng, complete_x=x.observed, complete_y=y.observed)
-            for s in ("ignore", "mean", "hot_deck", "oracle")
-        }
-        reference = results["ignore"]
-        for value in results.values():
-            assert value == reference
-
-    def test_unknown_strategy(self):
-        with pytest.raises(DomainError):
-            strategy_test(Sample((1.0,)), Sample((2.0,)), "drop")
-
-    def test_oracle_requires_complete_data(self):
-        with pytest.raises(DomainError):
-            strategy_test(Sample((1.0,), 1), Sample((2.0,)), "oracle")
+        reference = wmw_test(x.observed, y.observed)
+        assert wmw_test(impute_mean(x), impute_mean(y)) == reference
+        assert wmw_test(impute_hot_deck(x, rng), impute_hot_deck(y, rng)) == reference
 
     def test_mcar_ignore_keeps_level(self):
         # null data, 10 percent missing completely at random
@@ -185,7 +174,7 @@ class TestStrategyTest:
             y = rng.normal(size=100)
             x_s = Sample(tuple(np.delete(x, rng.choice(100, 10, replace=False))), 10)
             y_s = Sample(tuple(np.delete(y, rng.choice(100, 10, replace=False))), 10)
-            _, p = strategy_test(x_s, y_s, "ignore")
+            _, p = wmw_test(x_s.observed, y_s.observed)
             rejections += p < 0.05
         assert 0.03 <= rejections / trials <= 0.07
 
@@ -206,8 +195,9 @@ class TestStrategyTest:
                 return Sample(tuple(values[~gone]), int(gone.sum()))
 
             x_s, y_s = drop_positive(x), drop_positive(y)
-            for name in inflated:
-                _, p = strategy_test(x_s, y_s, name, rng=rng)
-                inflated[name] += p < 0.05
+            _, p = wmw_test(impute_mean(x_s), impute_mean(y_s))
+            inflated["mean"] += p < 0.05
+            _, p = wmw_test(impute_hot_deck(x_s, rng), impute_hot_deck(y_s, rng))
+            inflated["hot_deck"] += p < 0.05
         assert inflated["mean"] / trials > 0.065
         assert inflated["hot_deck"] / trials > 0.065
