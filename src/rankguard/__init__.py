@@ -13,7 +13,6 @@ from .bounds import (
     StatBounds,
     VarBounds,
     p_value_bounds,
-    stat_bounds_distinct,
     stat_bounds_general,
     variance_bounds,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "robust_test_distinct",
     "robust_test_general",
     "run_scenario",
-    "stat_bounds_distinct",
     "stat_bounds_general",
     "sweep",
     "tie_corrected_variance",

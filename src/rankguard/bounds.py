@@ -20,14 +20,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exceptions import DomainError
-from .ranks import Sample, Support, _doubled_wmw_statistic, null_variance, tie_profile
+from .ranks import Sample, Support, _doubled_wmw_statistic, _group_sizes, _tie_variance
 from .wmw import Alternative, tail_p
 
 __all__ = [
     "StatBounds",
     "BoundaryCounts",
     "VarBounds",
-    "stat_bounds_distinct",
     "stat_bounds_general",
     "variance_bounds",
     "p_value_bounds",
@@ -97,25 +96,6 @@ class VarBounds:
             raise DomainError("variance bounds must satisfy 0 <= min <= max")
 
 
-def _require_distinct(x_obs: Sequence[float], y_obs: Sequence[float]) -> None:
-    pooled = list(x_obs) + list(y_obs)
-    if len(set(pooled)) != len(pooled):
-        raise DomainError(
-            "observed values are tied; use the general (ties/closed support) pathway"
-        )
-
-
-def stat_bounds_distinct(x: Sample, y: Sample) -> StatBounds:
-    """Attainable statistic range for distinct observed values, unbounded domain.
-
-    This is :func:`stat_bounds_general` with no support endpoints: w_min is
-    the observed-data statistic itself, and w_max adds nm - n'm', the number
-    of cross pairs involving at least one missing value.
-    """
-    _require_distinct(x.observed, y.observed)
-    return stat_bounds_general(x, y, Support())
-
-
 def stat_bounds_general(x: Sample, y: Sample, support: Support) -> StatBounds:
     """Attainable statistic range allowing ties and a closed support.
 
@@ -158,19 +138,18 @@ def variance_bounds(x: Sample, y: Sample) -> VarBounds:
     nothing); the minimum piles every missing value onto the largest
     observed group, growing its multiplicity to d_max.
     """
-    pooled = list(x.observed) + list(y.observed)
+    pooled = x.observed + y.observed
     if not pooled:
         raise DomainError("at least one observed value is required")
     n, m = x.total, y.total
-    N = n + m
-    profile = tie_profile(pooled)
-    observed_correction = sum(d**3 - d for d in profile.multiplicities)
-    scale = Fraction(n * m, 12 * N * (N - 1))
-    sigma2_max = null_variance(n, m) - scale * observed_correction
-    d_big = max(profile.multiplicities)
-    d_max = d_big + (N - len(pooled))
-    sigma2_min = sigma2_max - scale * ((d_max**3 - d_max) - (d_big**3 - d_big))
-    return VarBounds(sigma2_min=sigma2_min, sigma2_max=sigma2_max, d_max=d_max)
+    sizes = _group_sizes(pooled)
+    piled = sizes.copy()
+    piled[piled.argmax()] += n + m - len(pooled)
+    return VarBounds(
+        sigma2_min=_tie_variance(n, m, piled),
+        sigma2_max=_tie_variance(n, m, sizes),
+        d_max=int(piled.max()),
+    )
 
 
 def p_value_bounds(

@@ -23,7 +23,7 @@ from .distributions import make_distribution
 from .exceptions import DegenerateDataError, DomainError
 from .multiplicity import holm_adjust
 from .power import PowerInputs, asymptotic_class, mcar_power, pair_probs
-from .ranks import Sample, Support
+from .ranks import Sample, Support, tie_profile
 from .robust import TestReport, feasibility, robust_test_distinct, robust_test_general
 from .simulate import MissingnessSpec, ScenarioSpec, sweep, write_results_csv
 from .wmw import Alternative
@@ -91,8 +91,7 @@ def _robust_report(
     """Robust test in the variant that --ties selects; "auto" takes the general
     variant when a support is given or the observed values tie."""
     if ties == "auto":
-        pooled = x.observed + y.observed
-        use_general = support is not None or len(set(pooled)) != len(pooled)
+        use_general = support is not None or tie_profile(x.observed + y.observed).has_ties
     else:
         use_general = ties == "on"
     if use_general:

@@ -83,18 +83,17 @@ def _integrate(fn, lo, hi) -> float:
 
 
 def _support(dist) -> tuple[float, float]:
-    lo, hi = getattr(dist, "support_bounds", (None, None))
+    lo, hi = dist.support_bounds
     return (-math.inf if lo is None else lo, math.inf if hi is None else hi)
 
 
 def pair_probs(dist_x, dist_y) -> PairProbs:
     """Compute the three ordering probabilities by adaptive quadrature.
 
-    Both arguments must be continuous, exposing ``pdf`` and ``cdf``
-    callables (our Distribution objects and scipy frozen distributions both
-    qualify).
+    Both arguments must be continuous :class:`Distribution` objects (or
+    anything exposing ``pdf``, ``cdf``, ``is_discrete`` and ``support_bounds``).
     """
-    if getattr(dist_x, "is_discrete", False) or getattr(dist_y, "is_discrete", False):
+    if dist_x.is_discrete or dist_y.is_discrete:
         raise DomainError("pair probabilities require continuous distributions")
     fx_lo, fx_hi = _support(dist_x)
     fy_lo, fy_hi = _support(dist_y)

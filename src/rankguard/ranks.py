@@ -10,6 +10,7 @@ only when a normal CDF is finally evaluated.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,10 @@ class Sample:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "observed", _as_sorted_floats(self.observed, "observed"))
+        try:
+            object.__setattr__(self, "n_missing", operator.index(self.n_missing))
+        except TypeError:
+            raise DomainError(f"n_missing must be an integer, got {self.n_missing!r}") from None
         if self.n_missing < 0:
             raise DomainError(f"n_missing must be nonnegative, got {self.n_missing}")
         if self.total < 1:
@@ -71,16 +76,10 @@ class Sample:
 
 @dataclass(frozen=True)
 class Support:
-    """Domain the values live in: unbounded, or closed below/above.
-
-    ``grid`` optionally lists the admissible values of a finite discrete
-    domain; it is consumed only by brute-force enumeration oracles, never by
-    the bound formulas themselves.
-    """
+    """Domain the values live in: unbounded, or closed below/above."""
 
     lower: float | None = None
     upper: float | None = None
-    grid: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         for name in ("lower", "upper"):
@@ -92,11 +91,6 @@ class Support:
                 object.__setattr__(self, name, v)
         if self.lower is not None and self.upper is not None and not self.lower < self.upper:
             raise DomainError("support requires lower < upper")
-        if self.grid is not None:
-            g = _as_sorted_floats(self.grid, "support grid")
-            if not all(self.contains(v) for v in g):
-                raise DomainError("grid values must lie within the support bounds")
-            object.__setattr__(self, "grid", g)
 
     @property
     def kind(self) -> str:
@@ -187,17 +181,31 @@ def wmw_statistic(x: Sequence[float], y: Sequence[float]) -> Fraction:
     return Fraction(_doubled_wmw_statistic(x, y), 2)
 
 
-def tie_profile(pool: Sequence[float]) -> TieProfile:
-    """Group multiplicities of the pooled multiset, ordered by value."""
+def _group_sizes(pool: Sequence[float]) -> np.ndarray:
+    """Sizes of the tie groups of the pooled multiset, ordered by value."""
     if len(pool) == 0:
         raise DomainError("pool must be nonempty")
-    _, counts = np.unique(np.asarray(pool, dtype=float), return_counts=True)
-    return TieProfile(tuple(int(c) for c in counts))
+    return np.unique(np.asarray(pool, dtype=float), return_counts=True)[1]
+
+
+def tie_profile(pool: Sequence[float]) -> TieProfile:
+    """Group multiplicities of the pooled multiset, ordered by value."""
+    return TieProfile(tuple(_group_sizes(pool).tolist()))
 
 
 def null_variance(n: int, m: int) -> Fraction:
     """Null variance of the statistic when all pooled values are distinct."""
     return Fraction(n * m * (n + m + 1), 12)
+
+
+def _tie_variance(n: int, m: int, sizes: Sequence[int]) -> Fraction:
+    """:func:`tie_corrected_variance` from the tie-group sizes alone. Groups of
+    one add nothing and are skipped; the sum is taken in Python ints, so it
+    stays exact where d^3 overflows int64."""
+    sizes = np.asarray(sizes)
+    correction = sum(d**3 - d for d in sizes[sizes > 1].tolist())
+    N = n + m
+    return null_variance(n, m) - Fraction(n * m * correction, 12 * N * (N - 1))
 
 
 def tie_corrected_variance(n: int, m: int, profile: TieProfile) -> Fraction:
@@ -212,5 +220,4 @@ def tie_corrected_variance(n: int, m: int, profile: TieProfile) -> Fraction:
     N = n + m
     if profile.total != N:
         raise DomainError(f"profile covers {profile.total} values, expected n + m = {N}")
-    correction = sum(d**3 - d for d in profile.multiplicities)
-    return null_variance(n, m) - Fraction(n * m * correction, 12 * N * (N - 1))
+    return _tie_variance(n, m, profile.multiplicities)

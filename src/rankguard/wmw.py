@@ -13,7 +13,7 @@ import numpy as np
 
 from .exceptions import DegenerateDataError, DomainError
 from .gaussian import normal_cdf
-from .ranks import Sample, null_variance, tie_corrected_variance, tie_profile, wmw_statistic
+from .ranks import Sample, tie_corrected_variance, tie_profile, wmw_statistic
 
 __all__ = [
     "Alternative",
@@ -69,13 +69,12 @@ def wmw_test(
     x_obs: Sequence[float],
     y_obs: Sequence[float],
     alternative: Alternative = Alternative.TWO_SIDED,
-    tie_correction: bool = True,
 ) -> tuple[Fraction, float]:
     """Rank test on fully observed data; returns (statistic, p-value).
 
     The statistic is referenced to a normal law with mean nm/2 and the
-    (optionally tie-corrected) null variance. No continuity correction is
-    applied.
+    tie-corrected null variance, which is the plain nm(n+m+1)/12 on distinct
+    data. No continuity correction is applied.
     """
     x_obs = list(x_obs)
     y_obs = list(y_obs)
@@ -83,10 +82,7 @@ def wmw_test(
         raise DegenerateDataError("both samples must be nonempty")
     n, m = len(x_obs), len(y_obs)
     w = wmw_statistic(x_obs, y_obs)
-    if tie_correction:
-        sigma2 = tie_corrected_variance(n, m, tie_profile(x_obs + y_obs))
-    else:
-        sigma2 = null_variance(n, m)
+    sigma2 = tie_corrected_variance(n, m, tie_profile(x_obs + y_obs))
     if sigma2 <= 0:
         raise DegenerateDataError("pooled sample is fully tied; the statistic has zero variance")
     return w, tail_p(w - Fraction(n * m, 2), sigma2, alternative)

@@ -148,7 +148,7 @@ def test_criterion_01_enumeration_oracle_soundness():
     failures = []
     checked = bounds_hit = verdicts = 0
     for grid in ((1.0, 2.0), (1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)):
-        support = Support(grid[0], grid[-1], grid=grid)
+        support = Support(grid[0], grid[-1])
         sizes = range(1, 4)
         obs_sets = [ms for k in sizes for ms in all_multisets(grid, k)]
         for x_obs, y_obs in itertools.product(obs_sets, obs_sets):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from rankguard import (
     rank_sum,
     robust_test_distinct,
     robust_test_general,
-    stat_bounds_distinct,
     stat_bounds_general,
     tie_corrected_variance,
     tie_profile,
@@ -47,7 +47,7 @@ def shifted_distinct_bounds(x_obs, y_obs, n, m):
     shifted by n(n+1)/2."""
     x = Sample(tuple(x_obs), n - len(x_obs))
     y = Sample(tuple(y_obs), m - len(y_obs))
-    b = stat_bounds_distinct(x, y)
+    b = stat_bounds_general(x, y, Support())
     shift = Fraction(n * (n + 1), 2)
     return b.w_min + shift, b.w_max + shift
 
@@ -66,10 +66,6 @@ class TestRankSumBoundsDistinct:
         sums = [rank_sum(cx, cx + cy) for cx, cy in distinct_completions([1.0], [2.0], 1, 0)]
         lo, hi = shifted_distinct_bounds([1.0], [2.0], 2, 1)
         assert min(sums) == lo and max(sums) == hi
-
-    def test_rejects_ties(self):
-        with pytest.raises(DomainError):
-            shifted_distinct_bounds([1.0, 1.0], [2.0], 3, 1)
 
     @given(
         st.sets(st.integers(0, 30), min_size=2, max_size=5),
@@ -98,25 +94,21 @@ class TestStatBoundsDistinct:
     def test_no_missing(self):
         x = Sample((1.0, 4.0))
         y = Sample((2.0, 3.0))
-        b = stat_bounds_distinct(x, y)
+        b = stat_bounds_general(x, y, Support())
         w = wmw_statistic(x.observed, y.observed)
         assert b.w_min == b.w_max == w
 
     def test_large_example(self):
         x = Sample(tuple(float(i) for i in range(80)), n_missing=20)
         y = Sample(tuple(float(i) + 0.5 for i in range(100, 180)), n_missing=20)
-        b = stat_bounds_distinct(x, y)
+        b = stat_bounds_general(x, y, Support())
         assert (b.w_min, b.w_max) == (0, 3600)
 
     def test_width_law(self):
         x = Sample((1.0, 3.0), n_missing=2)
         y = Sample((2.0,), n_missing=1)
-        b = stat_bounds_distinct(x, y)
+        b = stat_bounds_general(x, y, Support())
         assert b.width == b.n * b.m - b.n_obs_x * b.n_obs_y
-
-    def test_ties_are_rejected(self):
-        with pytest.raises(DomainError):
-            stat_bounds_distinct(Sample((1.0, 1.0)), Sample((2.0,)))
 
     @given(
         st.sets(st.integers(0, 40), min_size=2, max_size=6),
@@ -136,15 +128,15 @@ class TestStatBoundsDistinct:
             oracle_wmw(cx, cy)
             for cx, cy in distinct_completions(x_obs, y_obs, miss_x, miss_y)
         ]
-        b = stat_bounds_distinct(x, y)
+        b = stat_bounds_general(x, y, Support())
         assert min(stats) == b.w_min
         assert max(stats) == b.w_max
 
     def test_monotone_degradation_superset(self):
         x = Sample((1.0, 7.0), n_missing=1)
         y = Sample((3.0, 9.0), n_missing=0)
-        before = stat_bounds_distinct(x, y)
-        after = stat_bounds_distinct(Sample(x.observed, 2), y)
+        before = stat_bounds_general(x, y, Support())
+        after = stat_bounds_general(Sample(x.observed, 2), y, Support())
         assert after.w_min <= before.w_min and after.w_max >= before.w_max
 
 
@@ -158,7 +150,7 @@ class TestStatBoundsGeneral:
         y = Sample((3.5,), 1)
         support = Support(0, 10)
         general = stat_bounds_general(x, y, support)
-        distinct = stat_bounds_distinct(x, y)
+        distinct = stat_bounds_general(x, y, Support())
         assert (general.w_min, general.w_max) == (distinct.w_min, distinct.w_max)
 
     def test_observed_outside_support(self):
@@ -191,7 +183,7 @@ class TestStatBoundsGeneral:
 
     def test_exhaustive_small_grid(self):
         grid = (1.0, 2.0, 3.0)
-        support = Support(1, 3, grid=grid)
+        support = Support(1, 3)
         for n_obs in range(1, 4):
             for m_obs in range(1, 4):
                 for x_obs in all_multisets(grid, n_obs):
@@ -233,12 +225,44 @@ class TestVarianceBounds:
         vb = variance_bounds(x, y)
         assert vb.sigma2_min == 0
 
+    def test_both_bounds_are_attained(self):
+        # sigma2_max: the missing values are fresh singletons; sigma2_min:
+        # they all join one largest observed tie group
+        grid = (1.0, 2.0, 3.0)
+        for x_obs in all_multisets(grid, 2):
+            for y_obs in all_multisets(grid, 3):
+                for miss_x, miss_y in ((1, 0), (0, 2), (2, 1), (3, 3)):
+                    x, y = Sample(x_obs, miss_x), Sample(y_obs, miss_y)
+                    vb = variance_bounds(x, y)
+                    n, m = x.total, y.total
+                    fresh = [100.0 + i for i in range(miss_x + miss_y)]
+                    fresh_pool = list(x_obs) + list(y_obs) + fresh
+                    assert oracle_tie_variance(n, m, fresh_pool) == vb.sigma2_max
+                    mode = Counter(x_obs + y_obs).most_common(1)[0][0]
+                    piled_pool = list(x_obs) + list(y_obs) + [mode] * (miss_x + miss_y)
+                    assert oracle_tie_variance(n, m, piled_pool) == vb.sigma2_min
+                    assert Counter(piled_pool)[mode] == vb.d_max
+
+    def test_group_size_past_int64_cube(self):
+        # d_max = 3,000,002 > 2,097,151, so d^3 no longer fits in int64
+        missing = 3_000_000
+        vb = variance_bounds(Sample((1.0, 1.0, 2.0), missing), Sample((2.0,)))
+        n, m = 3 + missing, 1
+        N = n + m
+        d = 2 + missing
+        assert vb.d_max == d
+        assert d**3 > 2**63
+        scale = Fraction(n * m, 12 * N * (N - 1))
+        plain = Fraction(n * m * (N + 1), 12)
+        assert vb.sigma2_max == plain - scale * (2 * (2**3 - 2))
+        assert vb.sigma2_min == plain - scale * ((d**3 - d) + (2**3 - 2))
+
 
 class TestPValueBounds:
     def test_centered_interval_is_flat(self):
         x = Sample((1.0, 4.0))
         y = Sample((2.0, 3.0))
-        b = stat_bounds_distinct(x, y)
+        b = stat_bounds_general(x, y, Support())
         assert b.w_min == b.w_max == b.mu
         vb = variance_bounds(x, y)
         p_low, p_high, same_sign = p_value_bounds(b, vb)
@@ -275,7 +299,7 @@ class TestPValueBounds:
 
     def test_sandwich_on_small_grid(self):
         grid = (1.0, 2.0, 3.0)
-        support = Support(1, 3, grid=grid)
+        support = Support(1, 3)
         for x_obs in all_multisets(grid, 2):
             for y_obs in all_multisets(grid, 2):
                 for miss_x, miss_y in ((1, 0), (1, 1), (0, 2)):

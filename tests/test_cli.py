@@ -26,7 +26,7 @@ class TestTestCommand:
         payload = run_json(
             capsys, "test", "--x", "1,3,9,11", "--y", "2,4,6,8", "--ties", "off"
         )
-        _, p = wmw_test([1, 3, 9, 11], [2, 4, 6, 8], tie_correction=False)
+        _, p = wmw_test([1, 3, 9, 11], [2, 4, 6, 8])
         assert payload["p_min"] == pytest.approx(p)
         assert payload["p_max"] == pytest.approx(p)
         assert payload["variant"] == "distinct"
