@@ -7,10 +7,10 @@ unbounded domain the interval is [W', W' + (nm - n'm')]. When the domain is
 closed below/above, observed values sitting exactly on an endpoint tighten
 the interval, because missing values cannot fall strictly beyond them.
 
-The same idea bounds the tie-corrected null variance over completions, and
-from the two rectangles a sandwich for the attainable p-value follows, for
-the two-sided and both one-sided alternatives (the two-sided lower p bound
-needs the smallest variance, the upper the largest).
+The same idea bounds the tie-corrected null variance over completions. The
+p-value is monotone in the statistic and the variance, so its attainable
+range, for the two-sided and both one-sided alternatives, is the range of
+its values at the corners of the rectangle these two intervals span.
 """
 
 from __future__ import annotations
@@ -157,36 +157,20 @@ def p_value_bounds(
 ) -> tuple[float, float, bool]:
     """Sandwich (p_low, p_high, same_sign) for the attainable p-value.
 
-    Two-sided: when both endpoints of [w_min, w_max] sit on the same side of
-    the null mean (an endpoint at the mean is on either side), p_high takes
-    the endpoint nearer the mean with the largest variance and p_low the
-    farther endpoint with the smallest variance. Otherwise an interior
-    completion can reach the mean, so p_high = 1. The smallest variance
-    genuinely matters for p_low: a middling completion with heavy ties can
-    be more extreme after standardisation than either statistic endpoint.
-    One-sided alternatives are monotone in the statistic: the extremes sit at
-    the endpoints, with the variance chosen adversarially for the sign of the
-    deviation. A zero variance takes the point-mass limit of :func:`tail_p`.
+    Every completion has its centred statistic q = w - nm/2 in
+    [w_min - nm/2, w_max - nm/2] and its variance in [sigma2_min, sigma2_max].
+    For every alternative :func:`tail_p` is monotone in q on either side of
+    the mean and, at fixed q, in the variance, so its extremes over that
+    rectangle lie at the four corners, plus q = 0 when the interval straddles
+    the mean (an endpoint at the mean is on either side): there an interior
+    completion reaches the mean, which makes the two-sided p = 1. same_sign
+    says the interval does not straddle. p_low can need sigma2_min: a heavily
+    tied completion can standardise further out than either endpoint.
     """
-    mu = bounds.mu
-    qmin = bounds.w_min - mu
-    qmax = bounds.w_max - mu
+    qs = (bounds.w_min - bounds.mu, bounds.w_max - bounds.mu)
+    same_sign = qs[0] >= 0 or qs[1] <= 0
     lo, hi = var.sigma2_min, var.sigma2_max
-    same_sign = (qmin >= 0 and qmax >= 0) or (qmin <= 0 and qmax <= 0)
-    if alternative is Alternative.TWO_SIDED:
-        p1 = tail_p(qmin, hi, alternative)
-        p2 = tail_p(qmax, hi, alternative)
-        p3 = tail_p(qmax, lo, alternative)
-        p4 = tail_p(qmin, lo, alternative)
-        if not same_sign:
-            return min(p3, p4), 1.0, False
-        return (p3, p1, True) if qmin >= 0 else (p4, p2, True)
-    if alternative is Alternative.X_GREATER:
-        # worst case at w_min, best case at w_max
-        p_high = tail_p(qmin, hi if qmin >= 0 else lo, alternative)
-        p_low = tail_p(qmax, lo if qmax >= 0 else hi, alternative)
-        return p_low, p_high, same_sign
-    # X_LESS mirrors X_GREATER with the roles of the endpoints swapped
-    p_high = tail_p(qmax, hi if qmax <= 0 else lo, alternative)
-    p_low = tail_p(qmin, lo if qmin <= 0 else hi, alternative)
-    return p_low, p_high, same_sign
+    ps = [tail_p(q, v, alternative) for q in qs for v in ((lo,) if lo == hi else (lo, hi))]
+    if not same_sign:
+        ps.append(tail_p(Fraction(0), hi, alternative))
+    return min(ps), max(ps), same_sign

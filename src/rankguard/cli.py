@@ -126,7 +126,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
     report = _robust_report(x, y, support, args.ties, args.alpha, alternative)
     payload = report.to_dict()
     payload["feasibility"] = feasibility(
-        n_total, m_total, x.n_observed, y.n_observed, args.alpha
+        n_total, m_total, x.n_observed, y.n_observed, args.alpha, alternative
     ).to_dict()
     payload["feasible"] = payload["feasibility"]["feasible"]
     _emit(payload, args.format)
@@ -310,7 +310,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         report = _robust_report(control, treated, support, args.ties, args.alpha, alternative)
         entry = {"group": group, **report.to_dict()}
         entry["feasible"] = feasibility(
-            control.total, treated.total, control.n_observed, treated.n_observed, args.alpha
+            control.total, treated.total, control.n_observed, treated.n_observed, args.alpha,
+            alternative,
         ).feasible
         comparisons.append(entry)
 

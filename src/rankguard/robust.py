@@ -16,9 +16,10 @@ the same test with unbounded support and the variance pinned at the
 uncorrected null variance, so its interval is the plain [W', W' + nm - n'm'].
 
 ``feasibility`` answers a cheaper question first: given only how much data
-is missing, can any observed values be significant at all? Below the
-threshold on n'm'/(nm), no. In particular 30 percent missing on both sides
-is always hopeless.
+is missing, can any observed values make the distinct variant significant?
+Below the threshold on n'm'/(nm), no. In particular, at alpha < 1/2, 30
+percent missing on both sides is hopeless for that variant. Boundary ties
+on a closed support can still let the general variant reject there.
 """
 
 from __future__ import annotations
@@ -112,9 +113,11 @@ class FeasibilityReport:
         }
 
 
-def _check_alpha(alpha: float) -> None:
+def _check(alpha: float, alternative: Alternative) -> None:
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not isinstance(alternative, Alternative):
+        raise DomainError(f"unknown alternative {alternative!r}")
 
 
 def _decide(p_min: float, p_max: float, alpha: float) -> Decision:
@@ -178,7 +181,7 @@ def robust_test_distinct(
     statistic uses midranks) but do not tighten anything here; use
     :func:`robust_test_general` to exploit them.
     """
-    _check_alpha(alpha)
+    _check(alpha, alternative)
     sigma2 = null_variance(x.total, y.total)
     var = VarBounds(sigma2_min=sigma2, sigma2_max=sigma2, d_max=1)
     return _robust_test(x, y, Support(), var, alpha, alternative, "distinct")
@@ -198,7 +201,7 @@ def robust_test_general(
     reported p_min additionally uses the smallest attainable variance, which
     is required for a valid lower bound.
     """
-    _check_alpha(alpha)
+    _check(alpha, alternative)
     var = variance_bounds(x, y)
     if var.sigma2_max == 0:
         raise DegenerateDataError(
@@ -209,22 +212,27 @@ def robust_test_general(
 
 
 def feasibility(
-    n: int, m: int, n_obs_x: int, n_obs_y: int, alpha: float = 0.05
+    n: int, m: int, n_obs_x: int, n_obs_y: int, alpha: float = 0.05,
+    alternative: Alternative = Alternative.TWO_SIDED,
 ) -> FeasibilityReport:
-    """Sharp screen on the missing fractions.
+    """Screen on the missing fractions, sharp for the distinct variant.
 
-    Significance is possible for some observed data if and only if
+    That variant can be significant for some observed data if and only if
 
-        n'm'/(nm) >= 1/2 + z_{1-alpha/2} sqrt((n+m+1)/(12nm)).
+        n'm'/(nm) >= 1/2 + z sqrt((n+m+1)/(12nm)),
 
-    The right side never drops below 1/2, so once both samples are missing
-    30 percent or more the answer is no for every alpha.
+    with z = z_{1-alpha/2} for the two-sided test and z_{1-alpha} for a
+    one-sided one. For alpha < 1/2 the right side exceeds 1/2, so once both
+    samples are missing 30 percent or more the answer is no. The general
+    variant is not bound by this screen: observed values tied on the
+    endpoints of a closed support can make it reject below the threshold.
     """
-    _check_alpha(alpha)
+    _check(alpha, alternative)
     if not (1 <= n_obs_x <= n and 1 <= n_obs_y <= m):
         raise DomainError("observed counts must satisfy 1 <= n' <= n and 1 <= m' <= m")
     lhs = (n_obs_x * n_obs_y) / (n * m)
-    rhs = 0.5 + normal_quantile(1.0 - alpha / 2.0) * math.sqrt((n + m + 1) / (12.0 * n * m))
+    tail = alpha / 2.0 if alternative is Alternative.TWO_SIDED else alpha
+    rhs = 0.5 + normal_quantile(1.0 - tail) * math.sqrt((n + m + 1) / (12.0 * n * m))
     return FeasibilityReport(
         n=n,
         m=m,

@@ -21,6 +21,7 @@ import contextlib
 import csv
 import functools
 import math
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +34,7 @@ import numpy as np
 from .distributions import make_distribution
 from .exceptions import DegenerateDataError, DomainError
 from .ranks import Sample, Support
-from .robust import _check_alpha, robust_test_distinct, robust_test_general
+from .robust import _check, robust_test_distinct, robust_test_general
 from .wmw import Alternative, impute_hot_deck, impute_mean, wmw_test
 
 __all__ = [
@@ -105,7 +106,7 @@ class ScenarioSpec:
         for method in self.methods:
             if method not in METHODS:
                 raise DomainError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-        _check_alpha(self.alpha)
+        _check(self.alpha, Alternative.parse(self.alternative))
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if self.seed < 0:
@@ -115,7 +116,6 @@ class ScenarioSpec:
         for side in ("x", "y"):
             if len(self._specs_for(side)) > 1:
                 raise DomainError(f"conflicting missingness rules for sample {side}")
-        Alternative.parse(self.alternative)
 
     def _specs_for(self, side: str) -> list[MissingnessSpec]:
         wanted = {"both", f"{side}_only"}
@@ -260,11 +260,15 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, 
 
 def _run(specs: Sequence[ScenarioSpec], workers: int) -> Iterator[ScenarioResult]:
     """Run every cell in blocks of ceil(trials / workers) trials, all through one
-    process pool when there are several workers and blocks. A result's elapsed
-    is the wall time since the previous cell finished, the first's from the start."""
+    process pool when there are several workers and blocks; workers beyond the
+    CPU count are not started. A result's elapsed is the wall time since the
+    previous cell finished, the first's from the start."""
+    if workers < 1:
+        raise DomainError("workers must be at least 1")
+    workers = min(workers, os.cpu_count() or 1)
     blocks = []
     for spec in specs:
-        chunk = -(-spec.trials // max(1, min(workers, spec.trials)))
+        chunk = -(-spec.trials // min(workers, spec.trials))
         blocks += [(spec, i, min(i + chunk, spec.trials)) for i in range(0, spec.trials, chunk)]
     merged: Counter[tuple[str, int]] = Counter()
     t0 = time.perf_counter()

@@ -50,9 +50,9 @@ class Alternative(enum.Enum):
 def tail_p(q: Fraction, sigma2: Fraction, alternative: Alternative) -> float:
     """Normal-law p-value of the centred statistic q = w - nm/2 at variance sigma2.
 
-    Two-sided p is 2 Phi(-|z|), which keeps its accuracy far out in either
-    tail. With sigma2 = 0 the law is a point mass at nm/2, so z is 0 at the
-    mean and infinite away from it.
+    Every tail is Phi of a signed z (two-sided 2 Phi(-|z|)), accurate far out.
+    With sigma2 = 0 the law is a point mass at nm/2: z is 0 at the mean and
+    infinite away from it. A non-:class:`Alternative` raises :class:`DomainError`.
     """
     if sigma2 == 0:
         z = 0.0 if q == 0 else (math.inf if q > 0 else -math.inf)
@@ -61,8 +61,10 @@ def tail_p(q: Fraction, sigma2: Fraction, alternative: Alternative) -> float:
     if alternative is Alternative.TWO_SIDED:
         return 2.0 * normal_cdf(-abs(z))
     if alternative is Alternative.X_GREATER:
-        return 1.0 - normal_cdf(z)
-    return normal_cdf(z)
+        return normal_cdf(-z)
+    if alternative is Alternative.X_LESS:
+        return normal_cdf(z)
+    raise DomainError(f"unknown alternative {alternative!r}")
 
 
 def wmw_test(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import comb, erf, sqrt
+from math import comb, erf, erfc, sqrt
 from typing import Iterable, Iterator, Sequence
 
 
@@ -71,6 +71,19 @@ def oracle_two_sided_p(x: Sequence[float], y: Sequence[float]) -> float:
     z = float(w - Fraction(n * m, 2)) / sqrt(float(sigma2))
     score = 0.5 * (1.0 + erf(z / sqrt(2.0)))
     return 1.0 - abs(1.0 - 2.0 * score)
+
+
+def oracle_p(x: Sequence[float], y: Sequence[float], alternative) -> float:
+    """Classical tie-corrected p for an alternative (matched by its value), from
+    this module plus erfc, which keeps every tail accurate far out."""
+    n, m = len(x), len(y)
+    w = oracle_wmw(x, y)
+    sigma2 = oracle_tie_variance(n, m, list(x) + list(y))
+    if sigma2 <= 0:
+        raise ZeroDivisionError("fully tied pool")
+    t = float(w - Fraction(n * m, 2)) / sqrt(2.0 * float(sigma2))
+    tails = {"two_sided": erfc(abs(t)), "x_greater": 0.5 * erfc(t), "x_less": 0.5 * erfc(-t)}
+    return tails[alternative.value]
 
 
 def grid_completions(

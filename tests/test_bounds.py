@@ -26,6 +26,7 @@ from oracles import (
     all_multisets,
     distinct_completions,
     grid_completions,
+    oracle_p,
     oracle_tie_variance,
     oracle_two_sided_p,
     oracle_wmw,
@@ -308,10 +309,11 @@ class TestPValueBounds:
                     if vb.sigma2_min == 0:
                         continue
                     b = stat_bounds_general(x, y, support)
-                    p_low, p_high, _ = p_value_bounds(b, vb)
-                    for cx, cy in grid_completions(x_obs, y_obs, miss_x, miss_y, grid):
-                        p = oracle_two_sided_p(cx, cy)
-                        assert p_low - 1e-12 <= p <= p_high + 1e-12
+                    for alt in Alternative:
+                        p_low, p_high, _ = p_value_bounds(b, vb, alt)
+                        for cx, cy in grid_completions(x_obs, y_obs, miss_x, miss_y, grid):
+                            p = oracle_p(cx, cy, alt)
+                            assert p_low - 1e-12 <= p <= p_high + 1e-12
 
     def test_kernel_reproduces_robust_reports_on_small_grid(self):
         grid = (1.0, 2.0, 3.0)

@@ -56,6 +56,17 @@ class TestTestCommand:
         assert payload["feasible"] is False
         assert payload["feasibility"]["threshold"] >= 0.5
 
+    def test_one_sided_screen_follows_the_alternative(self, capsys):
+        # 76 of 100 observed a side: 0.5776 clears the one-sided threshold
+        # (z_{1-alpha}) but not the two-sided one (z_{1-alpha/2})
+        argv = ("test", "--x", ",".join(map(str, range(100, 176))),
+                "--y", ",".join(map(str, range(76))), "--n-total", "100", "--m-total", "100")
+        greater = run_json(capsys, *argv, "--alternative", "greater")
+        assert greater["decision"] == "significant"
+        assert greater["feasible"] is True
+        assert greater["feasibility"]["threshold"] == pytest.approx(0.5673, abs=1e-4)
+        assert run_json(capsys, *argv)["feasible"] is False
+
     def test_value_files(self, capsys, tmp_path):
         xf = tmp_path / "x.txt"
         yf = tmp_path / "y.txt"
@@ -225,6 +236,16 @@ class TestSimulateCommand:
         assert code == EXIT_BAD_INPUT and "alpha" in err
         assert not out.exists()
 
+    def test_zero_workers_exits_2(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(SCENARIO)
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(scenario), "--out", str(out), "--workers", "0"
+        )
+        assert code == EXIT_BAD_INPUT and "workers" in err
+        assert not out.exists()
+
     def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
         scenario = tmp_path / "scenario.txt"
         scenario.write_text(SCENARIO.replace("trials = 1", "trials = 16"))
@@ -264,6 +285,17 @@ class TestAnalyzeCommand:
             assert entry["p_max_holm"] >= entry["p_max"] - 1e-15
             assert entry["n_observed_x"] == 90
             assert 0.0 <= entry["p_min"] <= entry["p_max"] <= 1.0
+
+    def test_one_sided_screen_follows_the_alternative(self, capsys, tmp_path):
+        data = tmp_path / "two.csv"
+        lines = ["group,value"]
+        lines += [f"a,{v}" for v in range(76)] + ["a,NA"] * 24
+        lines += [f"b,{v}" for v in range(100, 176)] + ["b,NA"] * 24
+        data.write_text("\n".join(lines) + "\n")
+        argv = ("analyze", "--data", str(data), "--control", "a")
+        less = run_json(capsys, *argv, "--alternative", "less")["comparisons"][0]
+        assert less["decision"] == "significant" and less["feasible"] is True
+        assert run_json(capsys, *argv)["comparisons"][0]["feasible"] is False
 
     def test_unknown_control_exits_2(self, capsys, tmp_path):
         data = tmp_path / "arms.csv"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,12 +14,13 @@ from rankguard import (
     Support,
     feasibility,
     normal_quantile,
+    p_value_bounds,
     robust_test_distinct,
     robust_test_general,
     wmw_test,
 )
 
-from oracles import all_multisets, grid_completions, oracle_two_sided_p
+from oracles import all_multisets, grid_completions, oracle_p, oracle_two_sided_p
 
 X7 = (1.0, 2.0, 3.0, 2.0, 2.0, 1.0, 1.0)
 Y6 = (3.0,) * 6
@@ -171,20 +173,21 @@ class TestRobustGeneral:
         # whenever the method says significant, every completion rejects
         grid = (1.0, 2.0, 3.0)
         support = Support(1, 3)
-        significant_seen = 0
+        significant_seen = Counter()
         for x_obs in all_multisets(grid, 3):
             for y_obs in all_multisets(grid, 3):
                 for miss_x, miss_y in ((0, 1), (1, 1), (0, 2)):
                     x, y = Sample(x_obs, miss_x), Sample(y_obs, miss_y)
-                    try:
-                        report = robust_test_general(x, y, support, alpha=0.3)
-                    except DegenerateDataError:
-                        continue
-                    if report.decision is Decision.SIGNIFICANT:
-                        significant_seen += 1
-                        for cx, cy in grid_completions(x_obs, y_obs, miss_x, miss_y, grid):
-                            assert oracle_two_sided_p(cx, cy) < 0.3
-        assert significant_seen > 0
+                    for alt in Alternative:
+                        try:
+                            report = robust_test_general(x, y, support, 0.3, alt)
+                        except DegenerateDataError:
+                            continue
+                        if report.decision is Decision.SIGNIFICANT:
+                            significant_seen[alt] += 1
+                            for cx, cy in grid_completions(x_obs, y_obs, miss_x, miss_y, grid):
+                                assert oracle_p(cx, cy, alt) < 0.3
+        assert all(significant_seen[alt] > 0 for alt in Alternative)
 
     def test_same_sign_flag_is_mirror_symmetric(self):
         # swapping the samples maps w to nm - w, so [mu - k, mu] becomes
@@ -215,8 +218,8 @@ class TestRobustGeneral:
             y = Sample(tuple(rng.poisson(3.0, 5).astype(float)), int(rng.integers(0, 3)))
             less = robust_test_general(x, y, support, alternative=Alternative.X_LESS)
             greater = robust_test_general(y, x, support, alternative=Alternative.X_GREATER)
-            assert less.p_max == pytest.approx(greater.p_max, abs=1e-12)
-            assert less.p_min == pytest.approx(greater.p_min, abs=1e-12)
+            assert less.p_max == greater.p_max
+            assert less.p_min == greater.p_min
             assert less.decision is greater.decision
 
     def test_poisson_style_support_buys_power(self):
@@ -229,6 +232,23 @@ class TestRobustGeneral:
         unbounded = robust_test_general(x, y, Support())
         assert bounded.p_max <= unbounded.p_max
         assert bounded.w_bounds.width < unbounded.w_bounds.width
+
+
+class TestAlternativeValidation:
+    def test_strings_are_rejected_everywhere(self):
+        # a string used to fall through to the x_less tail, or to be stored
+        # unchecked when a side is empty
+        x, y = (5.0, 6.0, 7.0, 8.0, 9.0, 10.0), (0.2, 0.5, 1.0, 2.0, 3.0, 4.0)
+        report = robust_test_distinct(Sample(x), Sample(y, 1))
+        calls = [
+            lambda: wmw_test(x, y, "greater"),
+            lambda: robust_test_distinct(Sample(x), Sample(y, 1), 0.05, "two_sided"),
+            lambda: robust_test_general(Sample((), 3), Sample(y, 1), Support(), 0.05, "less"),
+            lambda: p_value_bounds(report.w_bounds, report.variance, "x_greater"),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="unknown alternative"):
+                call()
 
 
 class TestReportOrdering:
@@ -270,6 +290,26 @@ class TestFeasibility:
                             n, n, int(frac_x * n), int(frac_y * n), alpha=alpha
                         )
                         assert not report.feasible
+
+    def test_one_sided_screen_uses_the_one_sided_quantile(self):
+        two_sided = feasibility(100, 100, 76, 76)
+        assert two_sided.threshold == pytest.approx(0.5802, abs=1e-4)
+        assert not two_sided.feasible
+        for alt in (Alternative.X_GREATER, Alternative.X_LESS):
+            report = feasibility(100, 100, 76, 76, alternative=alt)
+            assert report.threshold == pytest.approx(0.5673, abs=1e-4)
+            assert report.feasible
+            assert feasibility(100, 100, 70, 70, 0.49, alt).threshold > 0.5
+
+    def test_boundary_ties_let_the_general_variant_beat_the_screen(self):
+        # the screen is sharp for the distinct variant only: seventy 1s
+        # against seventy 0s on [0, 1] pin the general interval far from the mean
+        x, y = Sample((1.0,) * 70, 30), Sample((0.0,) * 70, 30)
+        assert not feasibility(100, 100, 70, 70).feasible
+        report = robust_test_general(x, y, Support(0, 1))
+        assert report.decision is Decision.SIGNIFICANT
+        assert report.p_max == pytest.approx(3.2e-7, rel=0.01)
+        assert robust_test_distinct(x, y).decision is not Decision.SIGNIFICANT
 
     def test_threshold_never_below_half(self):
         rng = np.random.default_rng(8)

@@ -233,6 +233,38 @@ class TestSweep:
         assert all(r.elapsed >= 0 for r in parallel)
         assert sum(r.elapsed for r in parallel) <= wall
 
+    def test_pool_never_exceeds_the_cpu_count(self, monkeypatch):
+        # a stand-in pool that records its size and maps serially, so no
+        # process is ever started here
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        spec = small_spec(trials=12)
+        serial = run_scenario(spec, workers=1)
+        assert run_scenario(spec, workers=1000).outcomes == serial.outcomes
+        assert sizes == [3]
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert run_scenario(spec, workers=1000).outcomes == serial.outcomes
+        assert sizes == [3]
+
+    def test_fewer_than_one_worker_is_rejected(self):
+        with pytest.raises(DomainError, match="workers"):
+            run_scenario(small_spec(trials=2), workers=0)
+
     def test_empty_grid(self):
         assert sweep(small_spec(), s_values=[]) == []
 

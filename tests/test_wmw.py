@@ -113,6 +113,24 @@ class TestWmwTest:
             assert float(w) == pytest.approx(ref.statistic)
             assert p == pytest.approx(ref.pvalue, rel=1e-10, abs=0)
 
+    def test_far_tail_matches_scipy_for_every_alternative(self):
+        # x_greater on separated samples lies far out in the upper tail,
+        # where 1 - Phi(z) would cancel
+        scipy_stats = pytest.importorskip("scipy.stats")
+        low, high = np.arange(40.0), np.arange(100.0, 140.0)
+        names = {
+            Alternative.TWO_SIDED: "two-sided",
+            Alternative.X_GREATER: "greater",
+            Alternative.X_LESS: "less",
+        }
+        for x, y in ((high, low), (low, high)):
+            for alternative, name in names.items():
+                _, p = wmw_test(list(x), list(y), alternative)
+                ref = scipy_stats.mannwhitneyu(
+                    x, y, alternative=name, method="asymptotic", use_continuity=False
+                )
+                assert p == pytest.approx(ref.pvalue, rel=1e-10, abs=0)
+
     def test_null_rejection_rate_is_calibrated(self):
         # continuous data, no missingness, alpha = 0.05
         rng = np.random.default_rng(2024)
