@@ -5,6 +5,8 @@ never collected. Instead of imputing it, compute every statistic the missing
 rating could produce, and test against the worst case.
 """
 
+import numpy as np
+
 from rankguard import (
     Sample,
     Support,
@@ -26,9 +28,13 @@ bounds = stat_bounds_general(x, y, scale)
 print(f"attainable statistic range: [{bounds.w_min}, {bounds.w_max}]")
 
 # Enumerate the four possible ratings to see the interval is tight.
+completions = []
 for fill in (1, 2, 3, 4):
-    w = wmw_statistic(x.observed, y.observed + (float(fill),))
+    w = wmw_statistic(x.observed, np.append(y.observed, fill))
+    completions.append(w)
     print(f"  if the missing rating were {fill}: W = {w}")
+# every completion lies inside the interval and both ends are reached
+assert (min(completions), max(completions)) == (bounds.w_min, bounds.w_max)
 
 # Ties move the null variance too, so bound it as well.
 var = variance_bounds(x, y)

@@ -25,9 +25,7 @@ from .ranks import (
     Sample,
     Support,
     TieProfile,
-    midrank,
     null_variance,
-    rank_sum,
     tie_corrected_variance,
     tie_profile,
     wmw_statistic,
@@ -85,13 +83,11 @@ __all__ = [
     "impute_mean",
     "make_distribution",
     "mcar_power",
-    "midrank",
     "normal_cdf",
     "normal_quantile",
     "null_variance",
     "p_value_bounds",
     "pair_probs",
-    "rank_sum",
     "relative_change",
     "robust_test_distinct",
     "robust_test_general",

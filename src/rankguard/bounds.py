@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .exceptions import DomainError
 from .ranks import Sample, Support, _doubled_wmw_statistic, _group_sizes, _tie_variance
 from .wmw import Alternative, tail_p
@@ -74,13 +76,11 @@ class BoundaryCounts:
     def from_observed(
         cls, x_obs: Sequence[float], y_obs: Sequence[float], support: Support
     ) -> "BoundaryCounts":
+        def count(values: Sequence[float], end: float | None) -> int:
+            return 0 if end is None else int(np.count_nonzero(np.asarray(values) == end))
+
         a, b = support.lower, support.upper
-        return cls(
-            x_at_lower=sum(v == a for v in x_obs) if a is not None else 0,
-            x_at_upper=sum(v == b for v in x_obs) if b is not None else 0,
-            y_at_lower=sum(v == a for v in y_obs) if a is not None else 0,
-            y_at_upper=sum(v == b for v in y_obs) if b is not None else 0,
-        )
+        return cls(count(x_obs, a), count(x_obs, b), count(y_obs, a), count(y_obs, b))
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def stat_bounds_general(x: Sample, y: Sample, support: Support) -> StatBounds:
     for label, sample in (("x", x), ("y", y)):
         # observed values are sorted, so the extremes decide containment
         if not (support.contains(sample.observed[0]) and support.contains(sample.observed[-1])):
-            v = next(v for v in sample.observed if not support.contains(v))
+            v = next(v for v in sample.observed.tolist() if not support.contains(v))
             raise DomainError(f"observed {label} value {v!r} lies outside the support")
     counts = BoundaryCounts.from_observed(x.observed, y.observed, support)
     n, m = x.total, y.total
@@ -138,8 +138,8 @@ def variance_bounds(x: Sample, y: Sample) -> VarBounds:
     nothing); the minimum piles every missing value onto the largest
     observed group, growing its multiplicity to d_max.
     """
-    pooled = x.observed + y.observed
-    if not pooled:
+    pooled = np.concatenate((x.observed, y.observed))
+    if not pooled.size:
         raise DomainError("at least one observed value is required")
     n, m = x.total, y.total
     sizes = _group_sizes(pooled)

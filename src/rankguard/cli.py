@@ -19,6 +19,8 @@ import os
 import sys
 from typing import Any, Sequence
 
+import numpy as np
+
 from .distributions import make_distribution
 from .exceptions import DegenerateDataError, DomainError
 from .multiplicity import holm_adjust
@@ -91,7 +93,8 @@ def _robust_report(
     """Robust test in the variant that --ties selects; "auto" takes the general
     variant when a support is given or the observed values tie."""
     if ties == "auto":
-        use_general = support is not None or tie_profile(x.observed + y.observed).has_ties
+        pooled = np.concatenate((x.observed, y.observed))
+        use_general = support is not None or tie_profile(pooled).has_ties
     else:
         use_general = ties == "on"
     if use_general:
@@ -118,8 +121,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
         raise DomainError("--n-total is smaller than the number of observed x values")
     if m_total < len(y_values):
         raise DomainError("--m-total is smaller than the number of observed y values")
-    x = Sample(tuple(x_values), n_total - len(x_values))
-    y = Sample(tuple(y_values), m_total - len(y_values))
+    x = Sample(x_values, n_total - len(x_values))
+    y = Sample(y_values, m_total - len(y_values))
     support = _parse_support(args.support) if args.support is not None else None
     alternative = Alternative.parse(args.alternative)
 
@@ -286,7 +289,7 @@ def _read_grouped_csv(path: str) -> dict[str, Sample]:
     for group in groups:
         if not groups[group]:
             raise DegenerateDataError(f"group {group!r} has no observed values (all missing)")
-        samples[group] = Sample(tuple(groups[group]), missing[group])
+        samples[group] = Sample(groups[group], missing[group])
     return samples
 
 

@@ -1,20 +1,19 @@
 """Exact multiset rank arithmetic.
 
 Ranks of tied values are midranks (the mean of the integer ranks the tied
-group would occupy), so every rank is an exact half-integer. All quantities
-here (ranks, rank sums, the two-sample statistic, variances) are returned as
-``fractions.Fraction`` so that downstream comparisons are exact; floats enter
-only when a normal CDF is finally evaluated.
+group would occupy), so every rank is an exact half-integer. The statistic
+and the variances are returned as ``fractions.Fraction`` so that downstream
+comparisons are exact; floats enter only when a normal CDF is finally
+evaluated.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +23,6 @@ __all__ = [
     "Sample",
     "Support",
     "TieProfile",
-    "midrank",
-    "rank_sum",
     "wmw_statistic",
     "tie_profile",
     "tie_corrected_variance",
@@ -33,29 +30,35 @@ __all__ = [
 ]
 
 
-def _as_sorted_floats(values: Iterable[float], what: str) -> tuple[float, ...]:
-    out = []
-    for v in values:
-        v = float(v)
-        if not math.isfinite(v):
-            raise DomainError(f"{what} contains a non-finite value: {v!r}")
-        out.append(v)
-    return tuple(sorted(out))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """Observed values of one sample plus the count of unobserved ones.
 
-    The total sample size is ``len(observed) + n_missing``; the missing
-    values are unknown reals (possibly constrained by a :class:`Support`).
+    ``observed`` is a sorted, read-only float64 array, copied from any
+    one-dimensional sequence of finite reals. The total sample size is
+    ``len(observed) + n_missing``; the missing values are unknown reals
+    (possibly constrained by a :class:`Support`).
     """
 
-    observed: tuple[float, ...]
+    observed: np.ndarray
     n_missing: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "observed", _as_sorted_floats(self.observed, "observed"))
+        values = np.asarray(self.observed, dtype=float)
+        if values.ndim != 1:
+            raise DomainError(f"observed must be one-dimensional, got shape {values.shape}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = float(values[~finite][0])
+            raise DomainError(f"observed contains a non-finite value: {bad!r}")
+        observed = np.sort(values)
+        # np.sort may reorder tied zeros and rewrite their signs: put them
+        # back in input order, as a stable sort leaves them
+        lo, hi = np.searchsorted(observed, 0.0, "left"), np.searchsorted(observed, 0.0, "right")
+        if hi - lo > 1:
+            observed[lo:hi] = values[values == 0]
+        observed.flags.writeable = False
+        object.__setattr__(self, "observed", observed)
         try:
             object.__setattr__(self, "n_missing", operator.index(self.n_missing))
         except TypeError:
@@ -64,6 +67,14 @@ class Sample:
             raise DomainError(f"n_missing must be nonnegative, got {self.n_missing}")
         if self.total < 1:
             raise DomainError("a sample must contain at least one value")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sample):
+            return NotImplemented
+        return self.n_missing == other.n_missing and np.array_equal(self.observed, other.observed)
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.observed.tolist()), self.n_missing))
 
     @property
     def n_observed(self) -> int:
@@ -92,14 +103,6 @@ class Support:
         if self.lower is not None and self.upper is not None and not self.lower < self.upper:
             raise DomainError("support requires lower < upper")
 
-    @property
-    def kind(self) -> str:
-        if self.lower is None and self.upper is None:
-            return "unbounded"
-        if self.lower is not None and self.upper is not None:
-            return "bounded"
-        return "half_bounded"
-
     def contains(self, value: float) -> bool:
         if self.lower is not None and value < self.lower:
             return False
@@ -119,10 +122,6 @@ class TieProfile:
             raise DomainError("multiplicities must be positive")
 
     @property
-    def n_distinct(self) -> int:
-        return len(self.multiplicities)
-
-    @property
     def total(self) -> int:
         return sum(self.multiplicities)
 
@@ -131,45 +130,14 @@ class TieProfile:
         return any(d > 1 for d in self.multiplicities)
 
 
-def _doubled_rank_sum(values: Sequence[float], pool_sorted: np.ndarray) -> int:
-    """Twice the midrank sum of ``values`` within the sorted pool, as an exact int."""
-    v = np.asarray(values, dtype=float)
-    lo = np.searchsorted(pool_sorted, v, side="left")
-    hi = np.searchsorted(pool_sorted, v, side="right")
-    return int(np.sum(2 * lo + (hi - lo) + 1))
-
-
-def midrank(pool: Sequence[float], z: float) -> Fraction:
-    """Midrank of ``z`` within the multiset ``pool``.
-
-    Equals (number of pool values below z) + (number equal to z + 1)/2.
-    """
-    below = sum(1 for v in pool if v < z)
-    tied = sum(1 for v in pool if v == z)
-    if tied == 0:
-        raise DomainError(f"value {z!r} is not a member of the pool")
-    return Fraction(2 * below + tied + 1, 2)
-
-
-def rank_sum(sub: Sequence[float], pool: Sequence[float]) -> Fraction:
-    """Sum of midranks of ``sub`` within ``pool``; ``sub`` must be a sub-multiset."""
-    counts = Counter(pool)
-    counts.subtract(Counter(sub))
-    if any(c < 0 for c in counts.values()):
-        raise DomainError("sub is not contained in pool as a multiset")
-    pool_sorted = np.sort(np.asarray(pool, dtype=float))
-    return Fraction(_doubled_rank_sum(sub, pool_sorted), 2)
-
-
 def _doubled_wmw_statistic(x: Sequence[float], y: Sequence[float]) -> int:
-    """Twice :func:`wmw_statistic`, as an exact int."""
-    x = list(x)
-    y = list(y)
-    if not x or not y:
+    """Twice :func:`wmw_statistic`, as an exact int: for each x value, twice
+    the y values below it plus the y values equal to it."""
+    x = np.asarray(x, dtype=float)
+    y = np.sort(np.asarray(y, dtype=float))
+    if x.size == 0 or y.size == 0:
         raise DegenerateDataError("both samples must contain at least one value")
-    n = len(x)
-    pool_sorted = np.sort(np.asarray(x + y, dtype=float))
-    return _doubled_rank_sum(x, pool_sorted) - n * (n + 1)
+    return int(np.searchsorted(y, x, "left").sum() + np.searchsorted(y, x, "right").sum())
 
 
 def wmw_statistic(x: Sequence[float], y: Sequence[float]) -> Fraction:

@@ -176,10 +176,10 @@ def apply_mcar(values: Sequence[float], s: float, rng: np.random.Generator) -> S
     values = np.asarray(values, dtype=float)
     k = _missing_count(len(values), s)
     if k == 0:
-        return Sample(tuple(values), 0)
+        return Sample(values, 0)
     drop = rng.choice(len(values), size=k, replace=False)
     kept = np.delete(values, drop)
-    return Sample(tuple(kept), k)
+    return Sample(kept, k)
 
 
 def apply_mnar_positive(values: Sequence[float], s: float, rng: np.random.Generator) -> Sample:
@@ -190,18 +190,18 @@ def apply_mnar_positive(values: Sequence[float], s: float, rng: np.random.Genera
     positive = values > 0
     n_pos = int(positive.sum())
     if n_pos == 0 or s == 0.0:
-        return Sample(tuple(values), 0)
+        return Sample(values, 0)
     q = min(1.0, s * len(values) / n_pos)
     drop = positive & (rng.random(len(values)) < q)
     kept = values[~drop]
-    return Sample(tuple(kept), int(drop.sum()))
+    return Sample(kept, int(drop.sum()))
 
 
 def _apply_missingness(
     values: np.ndarray, ms: MissingnessSpec, rng: np.random.Generator
 ) -> Sample:
     if ms.mechanism == "none" or ms.s == 0.0:
-        return Sample(tuple(values), 0)
+        return Sample(values, 0)
     if ms.mechanism == "mcar":
         return apply_mcar(values, ms.s, rng)
     return apply_mnar_positive(values, ms.s, rng)

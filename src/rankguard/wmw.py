@@ -13,7 +13,7 @@ import numpy as np
 
 from .exceptions import DegenerateDataError, DomainError
 from .gaussian import normal_cdf
-from .ranks import Sample, tie_corrected_variance, tie_profile, wmw_statistic
+from .ranks import Sample, _group_sizes, _tie_variance, wmw_statistic
 
 __all__ = [
     "Alternative",
@@ -78,13 +78,13 @@ def wmw_test(
     tie-corrected null variance, which is the plain nm(n+m+1)/12 on distinct
     data. No continuity correction is applied.
     """
-    x_obs = list(x_obs)
-    y_obs = list(y_obs)
-    if not x_obs or not y_obs:
+    x_obs = np.asarray(x_obs, dtype=float)
+    y_obs = np.asarray(y_obs, dtype=float)
+    if not x_obs.size or not y_obs.size:
         raise DegenerateDataError("both samples must be nonempty")
-    n, m = len(x_obs), len(y_obs)
+    n, m = x_obs.size, y_obs.size
     w = wmw_statistic(x_obs, y_obs)
-    sigma2 = tie_corrected_variance(n, m, tie_profile(x_obs + y_obs))
+    sigma2 = _tie_variance(n, m, _group_sizes(np.concatenate((x_obs, y_obs))))
     if sigma2 <= 0:
         raise DegenerateDataError("pooled sample is fully tied; the statistic has zero variance")
     return w, tail_p(w - Fraction(n * m, 2), sigma2, alternative)
@@ -94,8 +94,10 @@ def impute_mean(sample: Sample) -> list[float]:
     """Fill every missing slot with the mean of the observed values."""
     if sample.n_observed == 0:
         raise DegenerateDataError("cannot impute a sample with no observed values")
-    mean = sum(sample.observed) / sample.n_observed
-    return list(sample.observed) + [mean] * sample.n_missing
+    # summed as Python floats: from Python 3.12 built-in sum compensates
+    # only exact floats, not np.float64
+    values = sample.observed.tolist()
+    return values + [sum(values) / sample.n_observed] * sample.n_missing
 
 
 def impute_hot_deck(sample: Sample, rng: np.random.Generator) -> list[float]:
@@ -104,6 +106,6 @@ def impute_hot_deck(sample: Sample, rng: np.random.Generator) -> list[float]:
     if sample.n_observed == 0:
         raise DegenerateDataError("cannot impute a sample with no observed values")
     if sample.n_missing == 0:
-        return list(sample.observed)
-    donors = rng.choice(np.asarray(sample.observed), size=sample.n_missing, replace=True)
-    return list(sample.observed) + [float(v) for v in donors]
+        return sample.observed.tolist()
+    donors = rng.choice(sample.observed, size=sample.n_missing, replace=True)
+    return sample.observed.tolist() + donors.tolist()

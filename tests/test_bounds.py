@@ -12,7 +12,6 @@ from rankguard import (
     Sample,
     Support,
     p_value_bounds,
-    rank_sum,
     robust_test_distinct,
     robust_test_general,
     stat_bounds_general,
@@ -43,6 +42,11 @@ def enumerated_stats(x: Sample, y: Sample, grid):
     ]
 
 
+def oracle_rank_sum(x, y) -> Fraction:
+    """Rank sum of x in the pool of x and y: pair count plus n(n+1)/2."""
+    return oracle_wmw(x, y) + Fraction(len(x) * (len(x) + 1), 2)
+
+
 def shifted_distinct_bounds(x_obs, y_obs, n, m):
     """Extreme rank sums of the full x sample: the distinct statistic bounds
     shifted by n(n+1)/2."""
@@ -57,14 +61,14 @@ class TestRankSumBoundsDistinct:
     def test_no_missing_degenerates_to_observed_rank_sum(self):
         x, y = [1.0, 5.0], [2.0, 8.0]
         lo, hi = shifted_distinct_bounds(x, y, 2, 2)
-        assert lo == hi == rank_sum(x, x + y)
+        assert lo == hi == oracle_rank_sum(x, y)
 
     def test_two_point_example(self):
         lo, hi = shifted_distinct_bounds([1.0], [2.0], 2, 1)
         assert (lo, hi) == (3, 4)
 
     def test_two_point_example_matches_enumeration(self):
-        sums = [rank_sum(cx, cx + cy) for cx, cy in distinct_completions([1.0], [2.0], 1, 0)]
+        sums = [oracle_rank_sum(cx, cy) for cx, cy in distinct_completions([1.0], [2.0], 1, 0)]
         lo, hi = shifted_distinct_bounds([1.0], [2.0], 2, 1)
         assert min(sums) == lo and max(sums) == hi
 
@@ -83,7 +87,7 @@ class TestRankSumBoundsDistinct:
             return
         n, m = len(x_obs) + miss_x, len(y_obs) + miss_y
         sums = [
-            rank_sum(cx, cx + cy)
+            oracle_rank_sum(cx, cy)
             for cx, cy in distinct_completions(x_obs, y_obs, miss_x, miss_y)
         ]
         lo, hi = shifted_distinct_bounds(x_obs, y_obs, n, m)
@@ -219,6 +223,13 @@ class TestVarianceBounds:
         for cx, cy in grid_completions(x.observed, y.observed, 2, 1, grid):
             v = oracle_tie_variance(len(cx), len(cy), cx + cy)
             assert vb.sigma2_min <= v <= vb.sigma2_max
+
+    def test_equal_sized_sides_are_pooled_not_added(self):
+        # two equal-length arrays added with + would sum element by element
+        vb = variance_bounds(Sample((1.0, 2.0)), Sample((2.0, 3.0)))
+        expected = oracle_tie_variance(2, 2, [1.0, 2.0, 2.0, 3.0])
+        assert vb.sigma2_min == vb.sigma2_max == expected
+        assert expected != oracle_tie_variance(2, 2, [3.0, 5.0])
 
     def test_fully_tied_completion_reaches_zero(self):
         x = Sample((2.0,), 1)

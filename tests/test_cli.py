@@ -6,6 +6,7 @@ import pytest
 from rankguard import Sample, cli, robust_test_distinct, wmw_test
 
 from fixtures import write_eight_arm_fixture
+from oracles import oracle_tie_variance
 from rankguard.cli import EXIT_BAD_INPUT, EXIT_DEGENERATE, EXIT_OK
 
 
@@ -43,6 +44,12 @@ class TestTestCommand:
         assert payload["w_min"] == 3.0
         assert payload["w_max"] == 8.5
         assert payload["variant"] == "general"
+
+    def test_tie_across_the_sides_selects_the_general_variant(self, capsys):
+        # the only tie pairs an x value with a y value
+        payload = run_json(capsys, "test", "--x", "1,2", "--y", "2,3")
+        assert payload["variant"] == "general"
+        assert payload["sigma2_max"] == float(oracle_tie_variance(2, 2, [1.0, 2.0, 2.0, 3.0]))
 
     def test_thirty_percent_missing_is_flagged_infeasible(self, capsys):
         x = ",".join(str(v) for v in range(70))

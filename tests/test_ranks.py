@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -12,9 +13,7 @@ from rankguard import (
     Sample,
     Support,
     TieProfile,
-    midrank,
     null_variance,
-    rank_sum,
     robust_test_general,
     tie_corrected_variance,
     tie_profile,
@@ -32,7 +31,7 @@ POOL13 = X7 + Y6
 class TestSample:
     def test_sorted_and_counted(self):
         s = Sample((3.0, 1.0, 2.0), n_missing=2)
-        assert s.observed == (1.0, 2.0, 3.0)
+        assert s.observed.tolist() == [1.0, 2.0, 3.0]
         assert s.n_observed == 3
         assert s.total == 5
 
@@ -61,59 +60,47 @@ class TestSample:
         report = robust_test_general(x, Sample((3.0,)), Support())
         json.dumps(report.to_dict())
 
+    def test_observed_is_read_only(self):
+        s = Sample([2.0, 1.0])
+        assert s.observed.dtype == np.float64 and not s.observed.flags.writeable
+        with pytest.raises(ValueError):
+            s.observed[0] = 5.0
+
+    def test_caller_array_is_copied(self):
+        values = np.array([3.0, 1.0, 2.0])
+        s = Sample(values, 1)
+        values[:] = 9.0
+        assert s.observed.tolist() == [1.0, 2.0, 3.0]
+        assert s == Sample((1.0, 2.0, 3.0), 1) and hash(s) == hash(Sample([3, 2, 1], 1))
+        assert s != Sample((1.0, 2.0, 3.0), 2) and s != Sample((1.0, 2.0), 1)
+        assert Sample([-0.0]) == Sample([0.0]) and hash(Sample([-0.0])) == hash(Sample([0.0]))
+
+    def test_tied_zeros_keep_their_signs_and_input_order(self):
+        values = [2.0, 5.0, 2.0, 4.0, 2.0, 0.0, -0.0, 1.0, 1.0, 3.0, 0.0, 0.0, 3.0, 2.0,
+                  0.0, 3.0, 0.0, 5.0, 2.0, 3.0, 5.0, 3.0, 0.0, 2.0, 4.0, -0.0]
+        for given_as in (list, np.array):
+            observed = Sample(given_as(values)).observed.tolist()
+            assert list(map(repr, observed)) == list(map(repr, sorted(values)))
+
+    def test_two_dimensional_input_is_rejected(self):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            Sample(np.ones((2, 2)))
+
+    def test_error_messages_print_plain_floats(self):
+        # exact messages, so no np.float64(...) repr slips in
+        with pytest.raises(DomainError) as info:
+            Sample(np.array([1.0, np.inf]))
+        assert str(info.value) == "observed contains a non-finite value: inf"
+        for x_obs, shown in (([-1.5, 2.0, 7.25], "-1.5"), ([1.0, 7.25, 8.0], "7.25")):
+            with pytest.raises(DomainError) as info:
+                robust_test_general(Sample(np.array(x_obs)), Sample([1.0]), Support(0, 5))
+            assert str(info.value) == f"observed x value {shown} lies outside the support"
+
 
 class TestSupport:
-    def test_kinds(self):
-        assert Support().kind == "unbounded"
-        assert Support(lower=0).kind == "half_bounded"
-        assert Support(lower=0, upper=1).kind == "bounded"
-
     def test_requires_lower_below_upper(self):
         with pytest.raises(DomainError):
             Support(lower=2, upper=2)
-
-
-class TestMidrank:
-    def test_single_element(self):
-        assert midrank([5], 5) == 1
-
-    def test_worked_multiset(self):
-        assert midrank(POOL13, 2) == 5
-        assert midrank(POOL13, 3) == 10
-
-    def test_absent_value_is_an_error(self):
-        with pytest.raises(DomainError):
-            midrank([1, 2], 3)
-
-    @given(st.lists(st.integers(1, 5), min_size=1, max_size=30))
-    def test_midranks_sum_to_full_rank_sum(self, pool):
-        total = sum(midrank(pool, z) for z in pool)
-        n = len(pool)
-        assert total == Fraction(n * (n + 1), 2)
-
-    def test_agrees_with_position_average_oracle(self):
-        # every multiset of size <= 8 over {1, 2, 3}
-        for size in range(1, 9):
-            for pool in all_multisets([1, 2, 3], size):
-                expected = oracle_midranks(pool)
-                for z in set(pool):
-                    assert midrank(pool, z) == expected[z]
-
-
-class TestRankSum:
-    def test_full_pool_identity(self):
-        pool = [4, 4, 7, 1, 2, 2]
-        assert rank_sum(pool, pool) == Fraction(6 * 7, 2)
-
-    def test_worked_subset(self):
-        assert rank_sum([1, 1, 1, 2, 2, 2, 3], POOL13) == 31
-
-    def test_smallest_case(self):
-        assert rank_sum([1], [1, 2]) == 1
-
-    def test_containment_violation(self):
-        with pytest.raises(DomainError):
-            rank_sum([1, 1], [1, 2])
 
 
 class TestWmwStatistic:
@@ -142,6 +129,19 @@ class TestWmwStatistic:
     def test_matches_pair_counting_oracle(self, x, y):
         assert wmw_statistic(x, y) == oracle_wmw(x, y)
 
+    def test_rank_sum_matches_position_average_oracle(self):
+        # every split of every multiset of size <= 8 over {1, 2, 3}: the
+        # statistic plus n(n+1)/2 is the midrank sum of x in the pool
+        for size in range(2, 9):
+            for pool in all_multisets([1, 2, 3], size):
+                midranks = oracle_midranks(pool)
+                for n in range(1, size):
+                    for chosen in itertools.combinations(range(size), n):
+                        x = [pool[i] for i in chosen]
+                        y = [pool[i] for i in range(size) if i not in chosen]
+                        expected = sum(midranks[v] for v in x)
+                        assert wmw_statistic(x, y) + Fraction(n * (n + 1), 2) == expected
+
 
 class TestTieProfile:
     def test_no_ties(self):
@@ -159,7 +159,7 @@ class TestTieProfile:
 
     def test_total(self):
         profile = tie_profile([2, 2, 9])
-        assert profile.total == 3 and profile.n_distinct == 2 and profile.has_ties
+        assert profile.total == 3 and profile.has_ties
 
 
 class TestTieCorrectedVariance:

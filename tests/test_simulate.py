@@ -39,7 +39,7 @@ class TestApplyMcar:
     def test_zero_fraction_is_identity(self):
         values = [3.0, 1.0, 2.0]
         out = apply_mcar(values, 0.0, np.random.default_rng(0))
-        assert out.observed == (1.0, 2.0, 3.0) and out.n_missing == 0
+        assert out.observed.tolist() == [1.0, 2.0, 3.0] and out.n_missing == 0
 
     def test_exact_removal_count(self):
         rng = np.random.default_rng(0)
@@ -84,7 +84,7 @@ class TestApplyMnarPositive:
         # s n exceeds the number of positives, so q = 1
         values = [-1.0, -2.0, 5.0, 6.0]
         out = apply_mnar_positive(values, 0.9, np.random.default_rng(0))
-        assert out.observed == (-2.0, -1.0) and out.n_missing == 2
+        assert out.observed.tolist() == [-2.0, -1.0] and out.n_missing == 2
 
     def test_only_positives_can_disappear(self):
         rng = np.random.default_rng(3)
