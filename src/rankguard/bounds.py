@@ -166,11 +166,18 @@ def p_value_bounds(
     completion reaches the mean, which makes the two-sided p = 1. same_sign
     says the interval does not straddle. p_low can need sigma2_min: a heavily
     tied completion can standardise further out than either endpoint.
+
+    The corners go to :func:`tail_p` as floats, each rounded once from its
+    exact value, and same_sign is decided in integers.
     """
-    qs = (bounds.w_min - bounds.mu, bounds.w_max - bounds.mu)
-    same_sign = qs[0] >= 0 or qs[1] <= 0
-    lo, hi = var.sigma2_min, var.sigma2_max
+    nm = bounds.n * bounds.m
+    # q = w - nm/2 = (2a - nm b) / 2b for w = a/b; int / int rounds correctly
+    centred = [(2 * w.numerator - nm * w.denominator, 2 * w.denominator)
+               for w in (bounds.w_min, bounds.w_max)]
+    same_sign = centred[0][0] >= 0 or centred[1][0] <= 0
+    lo, hi = float(var.sigma2_min), float(var.sigma2_max)
+    qs = [top / bottom for top, bottom in centred]
     ps = [tail_p(q, v, alternative) for q in qs for v in ((lo,) if lo == hi else (lo, hi))]
     if not same_sign:
-        ps.append(tail_p(Fraction(0), hi, alternative))
+        ps.append(tail_p(0.0, hi, alternative))
     return min(ps), max(ps), same_sign

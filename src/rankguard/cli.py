@@ -137,7 +137,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_feasibility(args: argparse.Namespace) -> int:
-    report = feasibility(args.n, args.m, args.n_obs, args.m_obs, args.alpha)
+    alternative = Alternative.parse(args.alternative)
+    report = feasibility(args.n, args.m, args.n_obs, args.m_obs, args.alpha, alternative)
     print(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK
 
@@ -362,6 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_feas.add_argument("--n-obs", type=int, required=True)
     p_feas.add_argument("--m-obs", type=int, required=True)
     p_feas.add_argument("--alpha", type=float, default=0.05)
+    p_feas.add_argument("--alternative", default="two-sided",
+                        choices=["two-sided", "greater", "less"])
     p_feas.set_defaults(func=_cmd_feasibility)
 
     p_power = sub.add_parser("power", help="theoretical power under MCAR")

@@ -137,7 +137,7 @@ def _doubled_wmw_statistic(x: Sequence[float], y: Sequence[float]) -> int:
     y = np.sort(np.asarray(y, dtype=float))
     if x.size == 0 or y.size == 0:
         raise DegenerateDataError("both samples must contain at least one value")
-    return int(np.searchsorted(y, x, "left").sum() + np.searchsorted(y, x, "right").sum())
+    return int(y.searchsorted(x, "left").sum() + y.searchsorted(x, "right").sum())
 
 
 def wmw_statistic(x: Sequence[float], y: Sequence[float]) -> Fraction:

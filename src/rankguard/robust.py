@@ -33,8 +33,8 @@ from typing import Any
 from .bounds import StatBounds, VarBounds, p_value_bounds, stat_bounds_general, variance_bounds
 from .exceptions import DegenerateDataError, DomainError
 from .gaussian import normal_quantile
-from .ranks import Sample, Support, null_variance
-from .wmw import Alternative
+from .ranks import Sample, Support, _doubled_wmw_statistic, null_variance
+from .wmw import Alternative, tail_p
 
 __all__ = [
     "Decision",
@@ -185,6 +185,60 @@ def robust_test_distinct(
     sigma2 = null_variance(x.total, y.total)
     var = VarBounds(sigma2_min=sigma2, sigma2_max=sigma2, d_max=1)
     return _robust_test(x, y, Support(), var, alpha, alternative, "distinct")
+
+
+def _first(lo: int, hi: int, holds) -> int:
+    """Smallest d in [lo, hi] where holds(d), for a predicate that fails and
+    then holds along the range; hi + 1 when it never holds."""
+    hi += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class _DistinctRejection:
+    """:func:`robust_test_distinct`'s verdict at fixed (n, m, alpha,
+    alternative) in threshold form: ``rejects(x, y)`` is
+    ``robust_test_distinct(x, y, alpha, alternative).p_max < alpha``.
+
+    With the variance pinned, p_max < alpha holds iff every attainable value
+    of the doubled statistic, d in [2W', 2W' + 2(nm - n'm')], lies in the set
+    where tail_p((d - nm)/2) < alpha. tail_p is monotone on either side of
+    the mean, so that set is [0, lower] and [upper, 2nm]. Two-sided, p = 1 at
+    the mean and the two pieces never meet; one-sided, one piece is empty and
+    the other is a half-line that crosses the mean when alpha > 1/2. Both ends
+    are found once, by bisection on tail_p itself, so a verdict costs one
+    statistic and two integer comparisons.
+    """
+
+    def __init__(self, n: int, m: int, alpha: float, alternative: Alternative) -> None:
+        _check(alpha, alternative)
+        self.nm = nm = n * m
+        sigma2 = float(null_variance(n, m))
+
+        def in_tail(d: int) -> bool:
+            return tail_p((d - nm) / 2, sigma2, alternative) < alpha
+
+        # two-sided, each piece is searched on its own side of the mean
+        top = nm if alternative is Alternative.TWO_SIDED else 2 * nm
+        self.lower = -1 if alternative is Alternative.X_GREATER else (
+            _first(0, top, lambda d: not in_tail(d)) - 1)
+        self.upper = 2 * nm + 1 if alternative is Alternative.X_LESS else (
+            _first(2 * nm - top, 2 * nm, in_tail))
+
+    def rejects(self, x: Sample, y: Sample) -> bool:
+        n1, m1 = x.n_observed, y.n_observed
+        # as in _robust_test, an empty side gives p_max = 1
+        return bool(n1 and m1) and self.rejects_doubled(
+            n1, m1, _doubled_wmw_statistic(x.observed, y.observed))
+
+    def rejects_doubled(self, n_obs_x: int, n_obs_y: int, doubled: int) -> bool:
+        """The verdict from both observed counts, each at least 1, and 2W'."""
+        return doubled + 2 * (self.nm - n_obs_x * n_obs_y) <= self.lower or doubled >= self.upper
 
 
 def robust_test_general(

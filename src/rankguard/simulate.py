@@ -2,9 +2,14 @@
 
 Each trial draws both samples, deletes values through the configured
 missingness mechanisms, and runs every requested method on the identical
-incomplete data. Per-trial random streams are keyed by (seed, trial, role)
-through ``numpy``'s SeedSequence, so results are bit-identical for a given
-(spec, seed) no matter how many worker processes execute the trials.
+incomplete data. Each trial draws from five random streams, one per role
+(x values, y values, x deletions, y deletions, hot-deck donors), and the
+stream of a role is ``numpy.random.default_rng([seed, trial, role])``, so
+results are bit-identical for a given (spec, seed) no matter how many worker
+processes execute the trials. A block of trials does not build those
+generators: it computes the PCG64 start states of all its streams in one
+vectorised pass, an exact copy of numpy's SeedSequence hashing and PCG64
+seeding, and sets them on one reused generator per role.
 
 Methods
     proposed        robust test, distinct-data variant
@@ -34,7 +39,7 @@ import numpy as np
 from .distributions import make_distribution
 from .exceptions import DegenerateDataError, DomainError
 from .ranks import Sample, Support
-from .robust import _check, robust_test_distinct, robust_test_general
+from .robust import _check, _DistinctRejection, robust_test_general
 from .wmw import Alternative, impute_hot_deck, impute_mean, wmw_test
 
 __all__ = [
@@ -57,6 +62,12 @@ METHODS = ("proposed", "proposed_ties", "ignore", "mean_impute", "hot_deck", "or
 
 # stream roles for per-trial SeedSequence keys
 _ROLE_X, _ROLE_Y, _ROLE_MISS_X, _ROLE_MISS_Y, _ROLE_HOT_DECK = range(5)
+
+# numpy's SeedSequence hash constants and the PCG64 multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -177,9 +188,9 @@ def apply_mcar(values: Sequence[float], s: float, rng: np.random.Generator) -> S
     k = _missing_count(len(values), s)
     if k == 0:
         return Sample(values, 0)
-    drop = rng.choice(len(values), size=k, replace=False)
-    kept = np.delete(values, drop)
-    return Sample(kept, k)
+    keep = np.ones(len(values), dtype=bool)
+    keep[rng.choice(len(values), size=k, replace=False)] = False
+    return Sample(values[keep], k)
 
 
 def apply_mnar_positive(values: Sequence[float], s: float, rng: np.random.Generator) -> Sample:
@@ -217,6 +228,77 @@ def _resolve_support(spec: ScenarioSpec) -> Support:
     return Support(lower=lower, upper=upper)
 
 
+def _entropy_words(value: int) -> list[int]:
+    """A nonnegative int as SeedSequence reads it: 32-bit words, low word first."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of a
+    (keys, words) uint32 array with at least four words a row; a shorter
+    entropy equals itself padded with zeros to four words."""
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, entropy.shape[1]):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([words[i] | (words[i + 1] << 32) for i in range(0, 8, 2)], axis=1)
+
+
+def _stream_seeds(seed: int, trials: Sequence[int], roles: int) -> list[list[list[int]]]:
+    """The four 64-bit words that ``default_rng([seed, trial, role])`` seeds
+    PCG64 with, as ``[trial index][role]``, for roles 0 to roles - 1: every
+    stream hashed in one vectorised pass per entropy length."""
+    head = _entropy_words(seed)
+    words = [_entropy_words(trial) for trial in trials]
+    seeds = np.empty((len(words), roles, 4), dtype=np.uint64)
+    for width in set(map(len, words)):
+        index = [i for i, w in enumerate(words) if len(w) == width]
+        keys = len(index) * roles
+        entropy = np.zeros((keys, max(len(head) + width + 1, 4)), dtype=np.uint32)
+        entropy[:, : len(head)] = head
+        entropy[:, len(head) : len(head) + width] = np.repeat([words[i] for i in index], roles, 0)
+        entropy[:, len(head) + width] = np.tile(np.arange(roles), len(index))
+        seeds[index] = _seed_words(entropy).reshape(len(index), roles, 4)
+    return seeds.tolist()
+
+
+def _pcg64_state(words: Sequence[int]) -> dict:
+    """PCG64's state after seeding with four 64-bit words: the setseq
+    initialisation, in 128-bit arithmetic on Python ints."""
+    state_hi, state_lo, inc_hi, inc_lo = words
+    inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & ((1 << 128) - 1)
+    state = ((inc + ((state_hi << 64) | state_lo)) * _PCG64_MULT + inc) & ((1 << 128) - 1)
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, int]]:
     dist_x = make_distribution(spec.dist_x)
     dist_y = make_distribution(spec.dist_y)
@@ -224,36 +306,47 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, 
     alternative = Alternative.parse(spec.alternative)
     ms_x = spec.mechanism_for("x")
     ms_y = spec.mechanism_for("y")
+    # the hot-deck stream is the last role, drawn only by hot_deck
+    roles = _ROLE_HOT_DECK + 1 if "hot_deck" in spec.methods else _ROLE_HOT_DECK
+    seeds = _stream_seeds(spec.seed, range(start, stop), roles)
+    generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(roles)]
+    if "proposed" in spec.methods:
+        distinct = _DistinctRejection(spec.n, spec.m, spec.alpha, alternative)
     tallies: Counter[tuple[str, int]] = Counter()  # (method, 0) rejected, (method, 1) degenerate
     for trial in range(start, stop):
         def stream(role: int) -> np.random.Generator:
-            return np.random.default_rng([spec.seed, trial, role])
+            # the generator default_rng([spec.seed, trial, role]) would build
+            generators[role].bit_generator.state = _pcg64_state(seeds[trial - start][role])
+            return generators[role]
 
         x_full = dist_x.sample(stream(_ROLE_X), spec.n)
         y_full = dist_y.sample(stream(_ROLE_Y), spec.m)
         x_s = _apply_missingness(x_full, ms_x, stream(_ROLE_MISS_X))
         y_s = _apply_missingness(y_full, ms_y, stream(_ROLE_MISS_Y))
         for method in spec.methods:
-            # one p-value per method; a robust test is SIGNIFICANT iff p_max < alpha
+            # a robust test is SIGNIFICANT iff p_max < alpha; every other
+            # method rejects iff its p-value is below alpha
             try:
                 if method == "proposed":
-                    p = robust_test_distinct(x_s, y_s, spec.alpha, alternative).p_max
-                elif method == "proposed_ties":
-                    p = robust_test_general(x_s, y_s, support, spec.alpha, alternative).p_max
-                elif method == "ignore":
-                    _, p = wmw_test(x_s.observed, y_s.observed, alternative)
-                elif method == "mean_impute":
-                    _, p = wmw_test(impute_mean(x_s), impute_mean(y_s), alternative)
-                elif method == "hot_deck":
-                    rng = stream(_ROLE_HOT_DECK)
-                    x_i, y_i = impute_hot_deck(x_s, rng), impute_hot_deck(y_s, rng)
-                    _, p = wmw_test(x_i, y_i, alternative)
-                else:  # oracle
-                    _, p = wmw_test(x_full, y_full, alternative)
+                    rejected = distinct.rejects(x_s, y_s)
+                else:
+                    if method == "proposed_ties":
+                        p = robust_test_general(x_s, y_s, support, spec.alpha, alternative).p_max
+                    elif method == "ignore":
+                        _, p = wmw_test(x_s.observed, y_s.observed, alternative)
+                    elif method == "mean_impute":
+                        _, p = wmw_test(impute_mean(x_s), impute_mean(y_s), alternative)
+                    elif method == "hot_deck":
+                        rng = stream(_ROLE_HOT_DECK)
+                        x_i, y_i = impute_hot_deck(x_s, rng), impute_hot_deck(y_s, rng)
+                        _, p = wmw_test(x_i, y_i, alternative)
+                    else:  # oracle
+                        _, p = wmw_test(x_full, y_full, alternative)
+                    rejected = p < spec.alpha
             except DegenerateDataError:
                 tallies[method, 1] += 1
                 continue
-            if p < spec.alpha:
+            if rejected:
                 tallies[method, 0] += 1
     return tallies
 

@@ -47,7 +47,7 @@ class Alternative(enum.Enum):
         return table[key]
 
 
-def tail_p(q: Fraction, sigma2: Fraction, alternative: Alternative) -> float:
+def tail_p(q: Fraction | float, sigma2: Fraction | float, alternative: Alternative) -> float:
     """Normal-law p-value of the centred statistic q = w - nm/2 at variance sigma2.
 
     Every tail is Phi of a signed z (two-sided 2 Phi(-|z|)), accurate far out.

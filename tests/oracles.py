@@ -2,7 +2,10 @@
 
 Everything here recomputes quantities from first principles (pair counting,
 position averaging, exhaustive enumeration) and deliberately avoids the
-library's formulas, so agreement is meaningful evidence.
+library's formulas, so agreement is meaningful evidence. The exception is
+``oracle_run_block``: the simulator's earlier trial loop, built from the
+library's exact reports and numpy's own generators, kept as the reference
+for the faster loop that replaced it.
 """
 
 from __future__ import annotations
@@ -131,3 +134,60 @@ def distinct_completions(
 
 def all_multisets(values: Sequence[float], size: int) -> Iterable[tuple[float, ...]]:
     return itertools.combinations_with_replacement(values, size)
+
+
+def oracle_run_block(spec, start: int, stop: int) -> Counter:
+    """The simulator's trial loop as it was before its streams were seeded in
+    one vectorised pass: one ``default_rng([seed, trial, role])`` per stream,
+    and ``proposed`` decided by the full report, p_max < alpha. Returns the
+    same (method, 0) rejected / (method, 1) degenerate tallies as
+    ``rankguard.simulate._run_block``."""
+    import numpy as np
+
+    from rankguard.distributions import make_distribution
+    from rankguard.exceptions import DegenerateDataError
+    from rankguard.robust import robust_test_distinct, robust_test_general
+    from rankguard.simulate import (
+        _ROLE_HOT_DECK, _ROLE_MISS_X, _ROLE_MISS_Y, _ROLE_X, _ROLE_Y,
+        _apply_missingness, _resolve_support,
+    )
+    from rankguard.wmw import Alternative, impute_hot_deck, impute_mean, wmw_test
+
+    dist_x = make_distribution(spec.dist_x)
+    dist_y = make_distribution(spec.dist_y)
+    support = _resolve_support(spec)
+    alternative = Alternative.parse(spec.alternative)
+    ms_x = spec.mechanism_for("x")
+    ms_y = spec.mechanism_for("y")
+    tallies: Counter[tuple[str, int]] = Counter()  # (method, 0) rejected, (method, 1) degenerate
+    for trial in range(start, stop):
+        def stream(role: int) -> np.random.Generator:
+            return np.random.default_rng([spec.seed, trial, role])
+
+        x_full = dist_x.sample(stream(_ROLE_X), spec.n)
+        y_full = dist_y.sample(stream(_ROLE_Y), spec.m)
+        x_s = _apply_missingness(x_full, ms_x, stream(_ROLE_MISS_X))
+        y_s = _apply_missingness(y_full, ms_y, stream(_ROLE_MISS_Y))
+        for method in spec.methods:
+            # one p-value per method; a robust test is SIGNIFICANT iff p_max < alpha
+            try:
+                if method == "proposed":
+                    p = robust_test_distinct(x_s, y_s, spec.alpha, alternative).p_max
+                elif method == "proposed_ties":
+                    p = robust_test_general(x_s, y_s, support, spec.alpha, alternative).p_max
+                elif method == "ignore":
+                    _, p = wmw_test(x_s.observed, y_s.observed, alternative)
+                elif method == "mean_impute":
+                    _, p = wmw_test(impute_mean(x_s), impute_mean(y_s), alternative)
+                elif method == "hot_deck":
+                    rng = stream(_ROLE_HOT_DECK)
+                    x_i, y_i = impute_hot_deck(x_s, rng), impute_hot_deck(y_s, rng)
+                    _, p = wmw_test(x_i, y_i, alternative)
+                else:  # oracle
+                    _, p = wmw_test(x_full, y_full, alternative)
+            except DegenerateDataError:
+                tallies[method, 1] += 1
+                continue
+            if p < spec.alpha:
+                tallies[method, 0] += 1
+    return tallies

@@ -132,6 +132,15 @@ class TestFeasibilityCommand:
         assert payload["observed_pair_fraction"] == pytest.approx(0.56)
         assert payload["feasible"] is False
 
+    def test_one_sided_threshold_follows_the_alternative(self, capsys):
+        args = ("feasibility", "--n", "100", "--m", "100", "--n-obs", "76", "--m-obs", "76")
+        default = run_json(capsys, *args)
+        assert run_json(capsys, *args, "--alternative", "two-sided") == default
+        assert round(default["threshold"], 4) == 0.5802 and default["feasible"] is False
+        greater = run_json(capsys, *args, "--alternative", "greater")
+        assert round(greater["threshold"], 4) == 0.5673 and greater["feasible"] is True
+        assert run_json(capsys, *args, "--alternative", "less") == greater
+
     def test_no_missing_is_feasible(self, capsys):
         payload = run_json(
             capsys, "feasibility", "--n", "100", "--m", "100",

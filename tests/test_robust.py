@@ -20,6 +20,8 @@ from rankguard import (
     wmw_test,
 )
 
+from rankguard.robust import _DistinctRejection
+
 from oracles import all_multisets, grid_completions, oracle_p, oracle_two_sided_p
 
 X7 = (1.0, 2.0, 3.0, 2.0, 2.0, 1.0, 1.0)
@@ -139,6 +141,81 @@ class TestRobustDistinct:
                 checked += 1
                 assert feasibility(n, m, n1, m1, 0.05).feasible
         assert checked > 0
+
+
+def _doubled_split(n_obs_x: int, n_obs_y: int, doubled: int) -> tuple[list[float], list[float]]:
+    """Observed values whose doubled statistic is ``doubled``: y on the even
+    numbers, and each x value at c - 1 adds c, for any c in [0, 2 n'_y]."""
+    y = [2.0 * j for j in range(n_obs_y)]
+    x = []
+    for _ in range(n_obs_x):
+        c = min(doubled, 2 * n_obs_y)
+        x.append(c - 1.0)
+        doubled -= c
+    return x, y
+
+
+class TestDistinctRejection:
+    """The simulator's threshold form of robust_test_distinct's verdict."""
+
+    ALPHAS = (1e-6, 0.05, 0.5, 0.7, 0.999)
+
+    def test_matches_the_report_on_every_small_instance(self):
+        # every (n', m', 2W') for n, m <= 8, each alternative, the fixed
+        # alphas and alpha within two ulps of the reported p_max; the verdict
+        # from the samples at one fixed alpha, from (n', m', 2W') at the rest
+        cache = {}
+
+        def rejection(n, m, alpha, alt):
+            key = (n, m, alpha, alt.value)
+            if key not in cache:
+                cache[key] = _DistinctRejection(n, m, alpha, alt)
+            return cache[key]
+
+        checked = significant = 0
+        for n in range(1, 9):
+            for m in range(1, 9):
+                for n1 in range(n + 1):
+                    for m1 in range(m + 1):
+                        for d in range(2 * n1 * m1 + 1):
+                            xv, yv = _doubled_split(n1, m1, d)
+                            x, y = Sample(xv, n - n1), Sample(yv, m - m1)
+                            for alt in Alternative:
+                                p_max = robust_test_distinct(x, y, 0.5, alt).p_max
+                                alpha = self.ALPHAS[(d + n1) % len(self.ALPHAS)]
+                                got = rejection(n, m, alpha, alt).rejects(x, y)
+                                assert got == (p_max < alpha), (n, m, n1, m1, d, alt, alpha)
+                                if not (n1 and m1):
+                                    assert p_max == 1.0
+                                    continue
+                                alphas = set(self.ALPHAS)
+                                for step in (math.inf, 0.0):
+                                    a = p_max
+                                    for _ in range(3):
+                                        if 0.0 < a < 1.0:
+                                            alphas.add(a)
+                                        a = math.nextafter(a, step)
+                                for alpha in alphas:
+                                    got = rejection(n, m, alpha, alt).rejects_doubled(n1, m1, d)
+                                    assert got == (p_max < alpha), (n, m, n1, m1, d, alt, alpha)
+                                    checked += 1
+                                    significant += got
+        assert significant > 0 and checked - significant > 0
+
+    def test_an_empty_side_is_never_significant(self):
+        # [0, 1] lies inside the x_greater rejection half-line at alpha = 0.9,
+        # yet with no observed x the report gives p_max = 1
+        x, y = Sample([], 1), Sample([0.0])
+        rejection = _DistinctRejection(1, 1, 0.9, Alternative.X_GREATER)
+        assert rejection.lower < 0 and rejection.upper == 0
+        assert robust_test_distinct(x, y, 0.9, Alternative.X_GREATER).p_max == 1.0
+        assert not rejection.rejects(x, y)
+        assert not rejection.rejects(y, Sample([], 1))
+
+    def test_two_sided_pieces_never_meet_at_the_mean(self):
+        for n, m in ((1, 1), (3, 5), (40, 40)):
+            rejection = _DistinctRejection(n, m, 0.999, Alternative.TWO_SIDED)
+            assert rejection.lower < n * m < rejection.upper
 
 
 class TestRobustGeneral:

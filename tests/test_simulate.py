@@ -1,6 +1,7 @@
 import csv
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,11 @@ from rankguard import (
     write_results_csv,
 )
 from rankguard import simulate
-from rankguard.simulate import CSV_COLUMNS, _missing_count
+from rankguard.simulate import (
+    CSV_COLUMNS, METHODS, _missing_count, _pcg64_state, _run_block, _stream_seeds,
+)
+
+from oracles import oracle_run_block
 
 
 def small_spec(**overrides):
@@ -289,3 +294,74 @@ class TestSweep:
             assert float(row["reject_rate"]) == outcome.rate
             assert float(row["stderr"]) == outcome.stderr
             assert row["mechanism"] == "mcar"
+
+
+class TestStreamSeeds:
+    """The vectorised copy of numpy's SeedSequence hashing and PCG64 seeding."""
+
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
+    TRIALS = (0, 1, 4999, 2**32)
+
+    def test_states_match_numpy(self):
+        for seed in self.SEEDS:
+            seeds = _stream_seeds(seed, self.TRIALS, 5)
+            for trial, row in zip(self.TRIALS, seeds):
+                for role, words in enumerate(row):
+                    bit_generator = np.random.PCG64(np.random.SeedSequence([seed, trial, role]))
+                    assert _pcg64_state(words) == bit_generator.state, (seed, trial, role)
+
+    def test_draws_match_default_rng(self):
+        generator = np.random.Generator(np.random.PCG64(0))
+        for seed in self.SEEDS:
+            for trial, row in zip(self.TRIALS, _stream_seeds(seed, self.TRIALS, 5)):
+                for role, words in enumerate(row):
+                    fresh = np.random.default_rng([seed, trial, role])
+                    # a reused generator, left mid-stream by the previous key
+                    generator.bit_generator.state = _pcg64_state(words)
+                    for draw in (
+                        lambda g: g.normal(0.0, 1.0, 7),
+                        lambda g: g.poisson(2.0, 7),
+                        lambda g: g.choice(50, size=9, replace=False),
+                        lambda g: g.random(3),
+                    ):
+                        assert np.array_equal(draw(generator), draw(fresh)), (seed, trial, role)
+
+
+def _oracle_cells():
+    def cell(**overrides):
+        base = dict(dist_x="normal(0,1)", dist_y="normal(0.5,1)", n=20, m=20,
+                    missingness=(MissingnessSpec("mcar", 0.1),), methods=METHODS,
+                    trials=25, seed=17)
+        base.update(overrides)
+        return ScenarioSpec(**base)
+
+    cells = [cell(n=n, m=n, seed=n) for n in (20, 50, 100, 200)]
+    cells.append(cell(dist_x="poisson(2)", dist_y="poisson(2)", n=100, m=100,
+                      missingness=(MissingnessSpec("mnar_positive", 0.1, "x_only"),)))
+    cells += [cell(n=12, m=15, alternative=alt, alpha=alpha, seed=3)
+              for alt in ("two_sided", "x_greater", "x_less")
+              for alpha in (1e-6, 0.05, 0.5, 0.7, 0.999)]
+    # MCAR deletes the only x value of every trial
+    cells.append(cell(n=1, m=5, missingness=(MissingnessSpec("mcar", 0.6),),
+                      alternative="x_greater", alpha=0.9))
+    return cells
+
+
+class TestTrialLoopOracle:
+    @pytest.mark.parametrize("spec", _oracle_cells(), ids=lambda spec: (
+        f"{spec.dist_x}-{spec.n}x{spec.m}-{spec.mechanism_label}-{spec.alternative}-{spec.alpha:g}"))
+    def test_counts_match_the_default_rng_loop(self, spec):
+        expected = oracle_run_block(spec, 0, spec.trials)
+        assert _run_block(spec, 0, spec.trials) == expected
+        outcomes = run_scenario(spec).outcomes
+        for method in spec.methods:
+            got = outcomes[method]
+            assert (got.rejections, got.degenerate) == (expected[method, 0], expected[method, 1])
+
+    def test_the_cells_reach_both_verdicts(self):
+        verdicts = Counter()
+        for spec in _oracle_cells():
+            outcome = run_scenario(spec).outcomes["proposed"]
+            verdicts["rejected"] += outcome.rejections
+            verdicts["kept"] += outcome.trials - outcome.rejections
+        assert verdicts["rejected"] > 0 and verdicts["kept"] > 0

@@ -31,6 +31,13 @@ reports at alpha = 0.05. Fields:
     simulate_w1, simulate_w2          exit code and CSV bytes of `rankguard
                                       simulate --seed 7` on the sim_methods
                                       scenario (100 trials) at 1 and 2 workers
+    simulate_x_greater_w1, ...        the same on normal(0,1) against
+    simulate_x_less_w2                normal(0.3,1), MCAR, proposed and
+                                      proposed_ties, one-sided at alpha = 0.7,
+                                      where the rejection half-line crosses
+                                      the mean; at s = 0 the interval is one
+                                      point, and the cell n = 1, s = 0.6
+                                      deletes the only x value of every trial
 
 A call that raises records its exception type and message, so error messages
 are compared too. The run prints, per field, how many results were compared
@@ -61,12 +68,21 @@ THIS_SRC = HERE.parent / "src"
 ALTERNATIVES = ("two_sided", "x_greater", "x_less")
 SUPPORTS = ((0.0, 5.0), (0.0, None), (None, 5.0), (None, None))
 STYLES = ("grid", "grid", "boundary", "continuous", "single", "outside")
-SIM_SCENARIO = (
-    "dist_x = poisson(2)\ndist_y = poisson(2)\nn = 100\nm = 100\n"
-    "mechanism_x = mnar_positive\ns = 0.05,0.1,0.2\n"
-    "methods = proposed,proposed_ties,ignore,mean_impute,hot_deck,oracle\n"
-    "trials = 100\n"
+ONE_SIDED = (
+    "dist_x = normal(0,1)\ndist_y = normal(0.3,1)\nn = 1,30\nm = 4,30\n"
+    "mechanism = mcar\ns = 0,0.1,0.6\nmethods = proposed,proposed_ties\n"
+    "alpha = 0.7\ntrials = 100\n"
 )
+SIM_SCENARIOS = {  # field prefix -> scenario file
+    "simulate": (
+        "dist_x = poisson(2)\ndist_y = poisson(2)\nn = 100\nm = 100\n"
+        "mechanism_x = mnar_positive\ns = 0.05,0.1,0.2\n"
+        "methods = proposed,proposed_ties,ignore,mean_impute,hot_deck,oracle\n"
+        "trials = 100\n"
+    ),
+    "simulate_x_greater": ONE_SIDED + "alternative = x_greater\n",
+    "simulate_x_less": ONE_SIDED + "alternative = x_less\n",
+}
 
 
 def _values(rng: random.Random, style: str, count: int) -> list[float]:
@@ -207,14 +223,15 @@ def _simulate() -> list[tuple[str, str]]:
 
     out = []
     with tempfile.TemporaryDirectory() as tmp:
-        scenario = Path(tmp) / "sim_methods.scenario"
-        scenario.write_text(SIM_SCENARIO)
-        for workers in (1, 2):
-            csv_path = Path(tmp) / f"w{workers}.csv"
-            code = _cli(cli, ["simulate", "--scenario", str(scenario), "--seed", "7",
-                              "--workers", str(workers), "--out", str(csv_path)]).split("\n")[0]
-            body = csv_path.read_text() if csv_path.exists() else ""
-            out.append((f"simulate_w{workers}", f"{code}\n{body}"))
+        for field, text in SIM_SCENARIOS.items():
+            scenario = Path(tmp) / f"{field}.scenario"
+            scenario.write_text(text)
+            for workers in (1, 2):
+                csv_path = Path(tmp) / f"{field}_w{workers}.csv"
+                code = _cli(cli, ["simulate", "--scenario", str(scenario), "--seed", "7",
+                                  "--workers", str(workers), "--out", str(csv_path)]).split("\n")[0]
+                body = csv_path.read_text() if csv_path.exists() else ""
+                out.append((f"{field}_w{workers}", f"{code}\n{body}"))
     return out
 
 
