@@ -4,9 +4,11 @@ Subcommands: ``test`` (one robust comparison), ``feasibility`` (missing-data
 screen), ``power`` (MCAR theory), ``simulate`` (Monte-Carlo sweeps to CSV),
 ``analyze`` (grouped CSV pipeline with familywise correction).
 
-Exit codes: 0 the command ran; 2 malformed input; 3 degenerate data. The
-environment variable RANKGUARD_SEED supplies the simulation seed when the
---seed flag is absent.
+``test`` and ``analyze`` share one comparison step: the robust report in the
+variant that --ties selects, and the feasibility screen of the two samples'
+(total, observed) counts. Every subcommand but ``simulate`` prints JSON.
+
+Exit codes: 0 the command ran; 2 malformed input; 3 degenerate data.
 """
 
 from __future__ import annotations
@@ -26,17 +28,15 @@ from .exceptions import DegenerateDataError, DomainError
 from .multiplicity import holm_adjust
 from .power import PowerInputs, asymptotic_class, mcar_power, pair_probs
 from .ranks import Sample, Support, tie_profile
-from .robust import TestReport, feasibility, robust_test_distinct, robust_test_general
+from .robust import (
+    FeasibilityReport, TestReport, feasibility, robust_test_distinct, robust_test_general,
+)
 from .simulate import MissingnessSpec, ScenarioSpec, sweep, write_results_csv
 from .wmw import Alternative
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_DEGENERATE = 3
-
-
-def _error(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
 
 
 def _parse_values(text: str, field: str) -> list[float]:
@@ -77,44 +77,38 @@ def _parse_support(text: str) -> Support | None:
     return Support(lower=lower, upper=upper)
 
 
-def _emit(payload: dict[str, Any], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
+def _compare(args: argparse.Namespace, x: Sample, y: Sample) -> tuple[TestReport, FeasibilityReport]:
+    """The robust report of x against y at --alpha and --alternative, and the
+    feasibility screen of their (total, observed) counts. --ties "on" runs the
+    general variant, "off" the distinct one, and "auto" the general one when
+    --support is given or the observed values tie."""
+    support = _parse_support(args.support) if args.support is not None else None
+    alternative = Alternative.parse(args.alternative)
+    general = args.ties == "on" or args.ties == "auto" and support is not None
+    tied = not general and tie_profile(np.concatenate((x.observed, y.observed))).has_ties
+    if general or tied and args.ties == "auto":
+        report = robust_test_general(x, y, support or Support(), args.alpha, alternative)
     else:
-        flat = {k: v for k, v in payload.items() if not isinstance(v, (dict, list))}
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(flat.keys())
-        writer.writerow(flat.values())
+        report = robust_test_distinct(x, y, args.alpha, alternative)
+        if tied:
+            # on tied data the distinct variant's p_min can exceed the p-value
+            # of some completion, so its NOT_SIGNIFICANT verdict would not hold
+            raise DomainError("--ties off: the observed values tie; use --ties auto or on")
+    screen = feasibility(x.total, y.total, x.n_observed, y.n_observed, args.alpha, alternative)
+    return report, screen
 
 
-def _robust_report(
-    x: Sample, y: Sample, support: Support | None, ties: str, alpha: float, alternative: Alternative
-) -> TestReport:
-    """Robust test in the variant that --ties selects; "auto" takes the general
-    variant when a support is given or the observed values tie."""
-    if ties == "auto":
-        pooled = np.concatenate((x.observed, y.observed))
-        use_general = support is not None or tie_profile(pooled).has_ties
-    else:
-        use_general = ties == "on"
-    if use_general:
-        return robust_test_general(x, y, support or Support(), alpha, alternative)
-    return robust_test_distinct(x, y, alpha, alternative)
+def _read_side(args: argparse.Namespace, name: str) -> list[float]:
+    """The observed values of one side of ``test``: --<name>, else --<name>-file."""
+    if getattr(args, name) is not None:
+        return _parse_values(getattr(args, name), f"--{name}")
+    if getattr(args, f"{name}_file") is not None:
+        return _read_value_file(getattr(args, f"{name}_file"), f"--{name}-file")
+    raise DomainError(f"--{name} or --{name}-file is required")
 
 
 def _cmd_test(args: argparse.Namespace) -> int:
-    if args.x is not None:
-        x_values = _parse_values(args.x, "--x")
-    elif args.x_file is not None:
-        x_values = _read_value_file(args.x_file, "--x-file")
-    else:
-        raise DomainError("--x or --x-file is required")
-    if args.y is not None:
-        y_values = _parse_values(args.y, "--y")
-    elif args.y_file is not None:
-        y_values = _read_value_file(args.y_file, "--y-file")
-    else:
-        raise DomainError("--y or --y-file is required")
+    x_values, y_values = _read_side(args, "x"), _read_side(args, "y")
     n_total = args.n_total if args.n_total is not None else len(x_values)
     m_total = args.m_total if args.m_total is not None else len(y_values)
     if n_total < len(x_values):
@@ -123,16 +117,9 @@ def _cmd_test(args: argparse.Namespace) -> int:
         raise DomainError("--m-total is smaller than the number of observed y values")
     x = Sample(x_values, n_total - len(x_values))
     y = Sample(y_values, m_total - len(y_values))
-    support = _parse_support(args.support) if args.support is not None else None
-    alternative = Alternative.parse(args.alternative)
-
-    report = _robust_report(x, y, support, args.ties, args.alpha, alternative)
-    payload = report.to_dict()
-    payload["feasibility"] = feasibility(
-        n_total, m_total, x.n_observed, y.n_observed, args.alpha, alternative
-    ).to_dict()
-    payload["feasible"] = payload["feasibility"]["feasible"]
-    _emit(payload, args.format)
+    report, screen = _compare(args, x, y)
+    payload = {**report.to_dict(), "feasibility": screen.to_dict(), "feasible": screen.feasible}
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
@@ -246,14 +233,7 @@ def _scenario_from_entries(
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     entries = _parse_scenario_file(args.scenario)
-    if args.seed is not None:
-        seed = args.seed
-    elif os.environ.get("RANKGUARD_SEED"):
-        seed = int(os.environ["RANKGUARD_SEED"])
-    elif "seed" in entries:
-        seed = int(entries["seed"])
-    else:
-        seed = 0
+    seed = args.seed if args.seed is not None else int(entries.get("seed", "0"))
     spec, s_list, sizes = _scenario_from_entries(entries, seed)
     results = sweep(spec, s_values=s_list, sizes=sizes, workers=args.workers)
     write_results_csv(results, args.out)
@@ -302,28 +282,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         )
     if len(samples) < 2:
         raise DomainError("--data must contain at least two groups")
-    alternative = Alternative.parse(args.alternative)
-    support = _parse_support(args.support) if args.support is not None else None
     control = samples[args.control]
-
     comparisons = []
-    for group in samples:
-        if group == args.control:
-            continue
-        treated = samples[group]
-        report = _robust_report(control, treated, support, args.ties, args.alpha, alternative)
-        entry = {"group": group, **report.to_dict()}
-        entry["feasible"] = feasibility(
-            control.total, treated.total, control.n_observed, treated.n_observed, args.alpha,
-            alternative,
-        ).feasible
-        comparisons.append(entry)
-
+    for group, treated in samples.items():
+        if group != args.control:
+            report, screen = _compare(args, control, treated)
+            comparisons.append({"group": group, **report.to_dict(), "feasible": screen.feasible})
     comparisons.sort(key=lambda e: e["group"])
     payload: dict[str, Any] = {
         "control": args.control,
         "alpha": args.alpha,
-        "alternative": alternative.value,
+        "alternative": Alternative.parse(args.alternative).value,
         "comparisons": comparisons,
     }
     if args.holm:
@@ -342,29 +311,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_test = sub.add_parser("test", help="robust two-sample test on one dataset")
+    alpha_alt = argparse.ArgumentParser(add_help=False)
+    alpha_alt.add_argument("--alpha", type=float, default=0.05)
+    alpha_alt.add_argument("--alternative", default="two-sided",
+                           choices=["two-sided", "greater", "less"])
+    variant = argparse.ArgumentParser(add_help=False)
+    variant.add_argument("--support", help="'lo,hi' ('lo,' or ',hi' for one side) or 'none'")
+    variant.add_argument("--ties", default="auto", choices=["auto", "on", "off"])
+
+    p_test = sub.add_parser("test", parents=[alpha_alt, variant],
+                            help="robust two-sample test on one dataset")
     p_test.add_argument("--x", help="comma-separated observed values for sample x")
     p_test.add_argument("--y", help="comma-separated observed values for sample y")
     p_test.add_argument("--x-file", help="file with one x value per line")
     p_test.add_argument("--y-file", help="file with one y value per line")
     p_test.add_argument("--n-total", type=int, help="total size of sample x incl. missing")
     p_test.add_argument("--m-total", type=int, help="total size of sample y incl. missing")
-    p_test.add_argument("--support", help="'lo,hi' ('lo,' or ',hi' for one side) or 'none'")
-    p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--alternative", default="two-sided",
-                        choices=["two-sided", "greater", "less"])
-    p_test.add_argument("--ties", default="auto", choices=["auto", "on", "off"])
-    p_test.add_argument("--format", default="json", choices=["json", "csv"])
     p_test.set_defaults(func=_cmd_test)
 
-    p_feas = sub.add_parser("feasibility", help="can this much missing data ever be significant?")
+    p_feas = sub.add_parser("feasibility", parents=[alpha_alt],
+                            help="can this much missing data ever be significant?")
     p_feas.add_argument("--n", type=int, required=True)
     p_feas.add_argument("--m", type=int, required=True)
     p_feas.add_argument("--n-obs", type=int, required=True)
     p_feas.add_argument("--m-obs", type=int, required=True)
-    p_feas.add_argument("--alpha", type=float, default=0.05)
-    p_feas.add_argument("--alternative", default="two-sided",
-                        choices=["two-sided", "greater", "less"])
     p_feas.set_defaults(func=_cmd_feasibility)
 
     p_power = sub.add_parser("power", help="theoretical power under MCAR")
@@ -381,20 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte-Carlo sweep to CSV")
     p_sim.add_argument("--scenario", required=True, help="key = value scenario file")
     p_sim.add_argument("--seed", type=int, default=None,
-                       help="simulation seed (default: RANKGUARD_SEED or file or 0)")
+                       help="simulation seed (default: the scenario file's seed, else 0)")
     p_sim.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_an = sub.add_parser("analyze", help="group-vs-control analysis of a CSV dataset")
+    p_an = sub.add_parser("analyze", parents=[alpha_alt, variant],
+                          help="group-vs-control analysis of a CSV dataset")
     p_an.add_argument("--data", required=True, help="CSV with header group,value; NA = missing")
     p_an.add_argument("--control", required=True, help="label of the control group")
-    p_an.add_argument("--alternative", default="two-sided",
-                      choices=["two-sided", "greater", "less"])
-    p_an.add_argument("--alpha", type=float, default=0.05)
     p_an.add_argument("--holm", action="store_true", help="familywise Holm correction")
-    p_an.add_argument("--ties", default="auto", choices=["auto", "on", "off"])
-    p_an.add_argument("--support", help="'lo,hi' ('lo,' or ',hi' for one side) or 'none'")
     p_an.set_defaults(func=_cmd_analyze)
 
     return parser
@@ -405,12 +371,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DegenerateDataError as exc:
-        _error(str(exc))
-        return EXIT_DEGENERATE
-    except (DomainError, ValueError, ArithmeticError) as exc:
-        _error(str(exc))
-        return EXIT_BAD_INPUT
+    except (ValueError, ArithmeticError) as exc:  # DomainError and DegenerateDataError too
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE if isinstance(exc, DegenerateDataError) else EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -179,7 +179,11 @@ def robust_test_distinct(
     pinned at the uncorrected nm(n+m+1)/12: the attainable interval is
     [W', W' + (nm - n'm')]. Ties in the observed data are tolerated (the
     statistic uses midranks) but do not tighten anything here; use
-    :func:`robust_test_general` to exploit them.
+    :func:`robust_test_general` to exploit them. On tied data only the
+    SIGNIFICANT verdict keeps its guarantee, and only for a two-sided test or
+    alpha <= 1/2: a completion's tie-corrected variance is below the pinned
+    one, which moves its p-value away from 1/2, below p_min or, on the far
+    side of the mean, above p_max.
     """
     _check(alpha, alternative)
     sigma2 = null_variance(x.total, y.total)

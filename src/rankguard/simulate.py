@@ -7,9 +7,9 @@ incomplete data. Each trial draws from five random streams, one per role
 stream of a role is ``numpy.random.default_rng([seed, trial, role])``, so
 results are bit-identical for a given (spec, seed) no matter how many worker
 processes execute the trials. A block of trials does not build those
-generators: it computes the PCG64 start states of all its streams in one
-vectorised pass, an exact copy of numpy's SeedSequence hashing and PCG64
-seeding, and sets them on one reused generator per role.
+generators: it computes the PCG64 start states of its streams in one
+vectorised pass per 1,024 trials, an exact copy of numpy's SeedSequence
+hashing and PCG64 seeding, and sets them on one reused generator per role.
 
 Methods
     proposed        robust test, distinct-data variant
@@ -68,6 +68,7 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_CHUNK = 1024  # trials seeded in one pass; a power of two at most 2**32
 
 
 @dataclass(frozen=True)
@@ -271,22 +272,23 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return np.stack([words[i] | (words[i + 1] << 32) for i in range(0, 8, 2)], axis=1)
 
 
-def _stream_seeds(seed: int, trials: Sequence[int], roles: int) -> list[list[list[int]]]:
-    """The four 64-bit words that ``default_rng([seed, trial, role])`` seeds
-    PCG64 with, as ``[trial index][role]``, for roles 0 to roles - 1: every
-    stream hashed in one vectorised pass per entropy length."""
+def _stream_seeds(
+    seed: int, start: int, stop: int, roles: int
+) -> Iterator[tuple[int, list[list[int]]]]:
+    """(trial, the four 64-bit words that ``default_rng([seed, trial, role])``
+    seeds PCG64 with, for roles 0 to roles - 1) for trials start to stop - 1.
+    The streams are hashed in one vectorised pass per aligned chunk of
+    _SEED_CHUNK trials, which keeps memory bounded; a chunk never straddles
+    a multiple of 2**32, so all its trials have the same entropy length."""
     head = _entropy_words(seed)
-    words = [_entropy_words(trial) for trial in trials]
-    seeds = np.empty((len(words), roles, 4), dtype=np.uint64)
-    for width in set(map(len, words)):
-        index = [i for i, w in enumerate(words) if len(w) == width]
-        keys = len(index) * roles
-        entropy = np.zeros((keys, max(len(head) + width + 1, 4)), dtype=np.uint32)
-        entropy[:, : len(head)] = head
-        entropy[:, len(head) : len(head) + width] = np.repeat([words[i] for i in index], roles, 0)
-        entropy[:, len(head) + width] = np.tile(np.arange(roles), len(index))
-        seeds[index] = _seed_words(entropy).reshape(len(index), roles, 4)
-    return seeds.tolist()
+    while start < stop:
+        end = min(stop, (start // _SEED_CHUNK + 1) * _SEED_CHUNK)
+        keys = np.array([head + _entropy_words(trial) for trial in range(start, end)], np.uint32)
+        entropy = np.zeros((len(keys) * roles, max(keys.shape[1] + 1, 4)), dtype=np.uint32)
+        entropy[:, : keys.shape[1]] = np.repeat(keys, roles, 0)
+        entropy[:, keys.shape[1]] = np.tile(np.arange(roles), len(keys))
+        yield from zip(range(start, end), _seed_words(entropy).reshape(-1, roles, 4).tolist())
+        start = end
 
 
 def _pcg64_state(words: Sequence[int]) -> dict:
@@ -308,15 +310,14 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, 
     ms_y = spec.mechanism_for("y")
     # the hot-deck stream is the last role, drawn only by hot_deck
     roles = _ROLE_HOT_DECK + 1 if "hot_deck" in spec.methods else _ROLE_HOT_DECK
-    seeds = _stream_seeds(spec.seed, range(start, stop), roles)
     generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(roles)]
     if "proposed" in spec.methods:
         distinct = _DistinctRejection(spec.n, spec.m, spec.alpha, alternative)
     tallies: Counter[tuple[str, int]] = Counter()  # (method, 0) rejected, (method, 1) degenerate
-    for trial in range(start, stop):
+    for trial, seeds in _stream_seeds(spec.seed, start, stop, roles):
         def stream(role: int) -> np.random.Generator:
             # the generator default_rng([spec.seed, trial, role]) would build
-            generators[role].bit_generator.state = _pcg64_state(seeds[trial - start][role])
+            generators[role].bit_generator.state = _pcg64_state(seeds[role])
             return generators[role]
 
         x_full = dist_x.sample(stream(_ROLE_X), spec.n)

@@ -23,13 +23,20 @@ def test_mutated_copy_is_flagged_and_the_rest_agrees(tmp_path):
         capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 1, done.stdout + done.stderr
+    table, exits = done.stdout.split("\n\n")[:2]
     rows = {}
-    for line in done.stdout.splitlines()[1:]:
-        if not line.strip():
-            break
+    for line in table.splitlines()[1:]:
         field, results, differ = line.split()
         rows[field] = int(results), int(differ)
     assert rows["report_general"][1] > 0 and rows["p_value_bounds_synthetic"][1] > 0
+    assert rows["cli_test"][1] > 0
+    # most commands run to the end, so the cli fields compare real output
+    codes = {}
+    for line in exits.splitlines()[1:]:
+        field, *counts = line.split()
+        codes[field] = dict(count.split(":") for count in counts)
+    for field in ("cli_test", "cli_analyze"):
+        assert int(codes[field].get("0", 0)) > rows[field][0] / 2, (field, codes[field])
     # results that never reach p_value_bounds agree
     for field in ("wmw_test", "impute_mean", "impute_hot_deck", "boundary_counts"):
         assert rows[field] == (200, 0), (field, rows[field])

@@ -302,10 +302,13 @@ class TestStreamSeeds:
     SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
     TRIALS = (0, 1, 4999, 2**32)
 
+    def rows(self, seed):
+        for trial in self.TRIALS:
+            yield from _stream_seeds(seed, trial, trial + 1, 5)
+
     def test_states_match_numpy(self):
         for seed in self.SEEDS:
-            seeds = _stream_seeds(seed, self.TRIALS, 5)
-            for trial, row in zip(self.TRIALS, seeds):
+            for trial, row in self.rows(seed):
                 for role, words in enumerate(row):
                     bit_generator = np.random.PCG64(np.random.SeedSequence([seed, trial, role]))
                     assert _pcg64_state(words) == bit_generator.state, (seed, trial, role)
@@ -313,7 +316,7 @@ class TestStreamSeeds:
     def test_draws_match_default_rng(self):
         generator = np.random.Generator(np.random.PCG64(0))
         for seed in self.SEEDS:
-            for trial, row in zip(self.TRIALS, _stream_seeds(seed, self.TRIALS, 5)):
+            for trial, row in self.rows(seed):
                 for role, words in enumerate(row):
                     fresh = np.random.default_rng([seed, trial, role])
                     # a reused generator, left mid-stream by the previous key
@@ -325,6 +328,17 @@ class TestStreamSeeds:
                         lambda g: g.random(3),
                     ):
                         assert np.array_equal(draw(generator), draw(fresh)), (seed, trial, role)
+
+    def test_ranges_cross_chunks_and_two_to_the_32(self):
+        # seeding goes by aligned chunks of trials; at 2**32 a trial number
+        # gains an entropy word
+        for start, stop in ((1000, 3100), (2**32 - 1030, 2**32 + 5)):
+            rows = list(_stream_seeds(2**32, start, stop, 3))
+            assert [trial for trial, _ in rows] == list(range(start, stop))
+            for trial, row in rows[::61] + rows[-3:]:
+                for role, words in enumerate(row):
+                    bit_generator = np.random.PCG64(np.random.SeedSequence([2**32, trial, role]))
+                    assert _pcg64_state(words) == bit_generator.state, (trial, role)
 
 
 def _oracle_cells():
@@ -348,6 +362,11 @@ def _oracle_cells():
 
 
 class TestTrialLoopOracle:
+    def test_a_block_across_two_to_the_32(self):
+        spec = _oracle_cells()[0]
+        start, stop = 2**32 - 3, 2**32 + 3
+        assert _run_block(spec, start, stop) == oracle_run_block(spec, start, stop)
+
     @pytest.mark.parametrize("spec", _oracle_cells(), ids=lambda spec: (
         f"{spec.dist_x}-{spec.n}x{spec.m}-{spec.mechanism_label}-{spec.alternative}-{spec.alpha:g}"))
     def test_counts_match_the_default_rng_loop(self, spec):

@@ -27,7 +27,10 @@ reports at alpha = 0.05. Fields:
     wmw_test                          on the observed values, unsorted
     impute_mean, impute_hot_deck      both completed samples
     cli_test                          exit code and output of `rankguard test`
-                                      (every fifth instance)
+                                      (--support on every other instance)
+    cli_analyze                       the same of `rankguard analyze` on a CSV
+                                      holding the two sides as groups a and b,
+                                      one NA row per missing value
     simulate_w1, simulate_w2          exit code and CSV bytes of `rankguard
                                       simulate --seed 7` on the sim_methods
                                       scenario (100 trials) at 1 and 2 workers
@@ -41,8 +44,9 @@ reports at alpha = 0.05. Fields:
 
 A call that raises records its exception type and message, so error messages
 are compared too. The run prints, per field, how many results were compared
-and how many differ, then the first differing instance. Exit status: 0 when
-every result agrees, 1 when one differs.
+and how many differ, then the exit codes this tree's commands gave, and the
+first differing instance. Exit status: 0 when every result agrees, 1 when
+one differs.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,6 +71,7 @@ HERE = Path(__file__).resolve().parent
 THIS_SRC = HERE.parent / "src"
 
 ALTERNATIVES = ("two_sided", "x_greater", "x_less")
+CLI_ALTERNATIVES = {"two_sided": "two-sided", "x_greater": "greater", "x_less": "less"}
 SUPPORTS = ((0.0, 5.0), (0.0, None), (None, 5.0), (None, None))
 STYLES = ("grid", "grid", "boundary", "continuous", "single", "outside")
 ONE_SIDED = (
@@ -206,16 +212,22 @@ def _results(rg, inst: dict):
         return [rg.impute_hot_deck(s, rng) for s in samples()]
 
     yield "impute_hot_deck", _text(hot_deck)
-    if inst["i"] % 5 == 0:
-        argv = ["test", "--x=" + ",".join(map(repr, inst["x"])),
-                "--y=" + ",".join(map(repr, inst["y"])),
-                "--n-total", str(len(inst["x"]) + inst["miss_x"]),
-                "--m-total", str(len(inst["y"]) + inst["miss_y"]),
-                "--alpha", repr(alpha), "--alternative", inst["alternative"]]
-        if inst["i"] % 10 == 0:  # else no --support: the variant follows the ties
-            ends = ("" if end is None else repr(end) for end in (lower, upper))
-            argv.append("--support=" + ",".join(ends))
-        yield "cli_test", _cli(cli, argv)
+    options = ["--alpha", repr(alpha), "--alternative", CLI_ALTERNATIVES[inst["alternative"]]]
+    if inst["i"] % 2 == 0:  # else no --support: the variant follows the ties
+        ends = ("" if end is None else repr(end) for end in (lower, upper))
+        options.append("--support=" + ",".join(ends))
+    yield "cli_test", _cli(cli, [
+        "test", "--x=" + ",".join(map(repr, inst["x"])), "--y=" + ",".join(map(repr, inst["y"])),
+        "--n-total", str(len(inst["x"]) + inst["miss_x"]),
+        "--m-total", str(len(inst["y"]) + inst["miss_y"]), *options])
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "groups.csv"
+        sides = (("a", inst["x"], inst["miss_x"]), ("b", inst["y"], inst["miss_y"]))
+        rows = [f"{group},{token}" for group, values, missing in sides
+                for token in [*map(repr, values), *["NA"] * missing]]
+        data.write_text("\n".join(["group,value", *rows]) + "\n")
+        analyzed = _cli(cli, ["analyze", "--data", str(data), "--control", "a", *options])
+    yield "cli_analyze", analyzed
 
 
 def _simulate() -> list[tuple[str, str]]:
@@ -282,6 +294,14 @@ def compare(parent: Path, seed: int, count: int) -> int:
     total = sum(c[0] for c in fields.values())
     differ = sum(c[1] for c in fields.values())
     print(f"{'all':<26}{total:>9}{differ:>9}")
+    exits: dict[str, Counter] = {}
+    for (_, field), row in new.items():
+        if row["preview"].startswith("exit "):
+            code = row["preview"].split("\n", 1)[0].removeprefix("exit ")
+            exits.setdefault(field, Counter())[code] += 1
+    print("\nexit codes in this tree")
+    for field, codes in sorted(exits.items()):
+        print(f"{field:<26}" + " ".join(f"{code}:{count}" for code, count in sorted(codes.items())))
     if first is None:
         return 0
     i, field = first
