@@ -22,7 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DomainError
-from .ranks import Sample, Support, _doubled_wmw_statistic, _group_sizes, _tie_variance
+from .ranks import (
+    Sample, Support, _doubled_wmw_statistic, _group_sizes, _tie_correction, _tie_variance,
+)
 from .wmw import Alternative, tail_p
 
 __all__ = [
@@ -96,6 +98,24 @@ class VarBounds:
             raise DomainError("variance bounds must satisfy 0 <= min <= max")
 
 
+def _doubled_stat_bounds(x: Sample, y: Sample, support: Support, doubled: int) -> tuple[int, int]:
+    """Twice the w_min and w_max of :func:`stat_bounds_general`, from twice
+    the observed statistic, for samples with observed values on both sides."""
+    for label, sample in (("x", x), ("y", y)):
+        # observed values are sorted, so the extremes decide containment
+        if not (support.contains(sample.observed[0]) and support.contains(sample.observed[-1])):
+            v = next(v for v in sample.observed.tolist() if not support.contains(v))
+            raise DomainError(f"observed {label} value {v!r} lies outside the support")
+    # sorted and inside the support, the values on a lead and those on b trail
+    a, b = support.lower, support.upper
+    x_a, y_a = (0 if a is None else int(s.observed.searchsorted(a, "right")) for s in (x, y))
+    x_b, y_b = (0 if b is None else s.n_observed - int(s.observed.searchsorted(b, "left"))
+                for s in (x, y))
+    t1 = y_a * x.n_missing + x_b * y.n_missing
+    t2 = x_a * y.n_missing + y_b * x.n_missing
+    return doubled + t1, doubled + 2 * (x.total * y.total - x.n_observed * y.n_observed) - t2
+
+
 def stat_bounds_general(x: Sample, y: Sample, support: Support) -> StatBounds:
     """Attainable statistic range allowing ties and a closed support.
 
@@ -110,25 +130,20 @@ def stat_bounds_general(x: Sample, y: Sample, support: Support) -> StatBounds:
     """
     if x.n_observed < 1 or y.n_observed < 1:
         raise DomainError("need at least one observed value on each side")
-    for label, sample in (("x", x), ("y", y)):
-        # observed values are sorted, so the extremes decide containment
-        if not (support.contains(sample.observed[0]) and support.contains(sample.observed[-1])):
-            v = next(v for v in sample.observed.tolist() if not support.contains(v))
-            raise DomainError(f"observed {label} value {v!r} lies outside the support")
-    counts = BoundaryCounts.from_observed(x.observed, y.observed, support)
-    n, m = x.total, y.total
-    n1, m1 = x.n_observed, y.n_observed
-    w2 = _doubled_wmw_statistic(x.observed, y.observed)
-    t1 = counts.y_at_lower * (n - n1) + counts.x_at_upper * (m - m1)
-    t2 = counts.x_at_lower * (m - m1) + counts.y_at_upper * (n - n1)
-    return StatBounds(
-        w_min=Fraction(w2 + t1, 2),
-        w_max=Fraction(w2 + 2 * (n * m - n1 * m1) - t2, 2),
-        n=n,
-        m=m,
-        n_obs_x=n1,
-        n_obs_y=m1,
-    )
+    lo2, hi2 = _doubled_stat_bounds(x, y, support, _doubled_wmw_statistic(x.observed, y.observed))
+    return StatBounds(Fraction(lo2, 2), Fraction(hi2, 2), x.total, y.total,
+                      x.n_observed, y.n_observed)
+
+
+def _variance_ratios(n: int, m: int, sizes: np.ndarray, missing: int) -> tuple[int, int, int, int]:
+    """:func:`variance_bounds` as integers (the numerators of sigma2_min and
+    sigma2_max, their denominator, d_max) from the observed pool's tie-group
+    sizes. sigma2_min swaps the largest group's term of the sum for the piled one's."""
+    correction, d = _tie_correction(sizes), int(sizes.max())
+    d_max = d + missing
+    num_max, den = _tie_variance(n, m, correction)
+    num_min, _ = _tie_variance(n, m, correction - (d**3 - d) + (d_max**3 - d_max))
+    return num_min, num_max, den, d_max
 
 
 def variance_bounds(x: Sample, y: Sample) -> VarBounds:
@@ -141,15 +156,21 @@ def variance_bounds(x: Sample, y: Sample) -> VarBounds:
     pooled = np.concatenate((x.observed, y.observed))
     if not pooled.size:
         raise DomainError("at least one observed value is required")
-    n, m = x.total, y.total
-    sizes = _group_sizes(pooled)
-    piled = sizes.copy()
-    piled[piled.argmax()] += n + m - len(pooled)
-    return VarBounds(
-        sigma2_min=_tie_variance(n, m, piled),
-        sigma2_max=_tie_variance(n, m, sizes),
-        d_max=int(piled.max()),
-    )
+    num_min, num_max, den, d_max = _variance_ratios(
+        x.total, y.total, _group_sizes(pooled), x.n_missing + y.n_missing)
+    return VarBounds(Fraction(num_min, den), Fraction(num_max, den), d_max)
+
+
+def _p_range(centred: Sequence[tuple[int, int]], lo: float, hi: float,
+             alternative: Alternative) -> tuple[float, float, bool]:
+    """:func:`p_value_bounds` from the exact centred statistic at w_min and at
+    w_max, each a ratio (top, bottom > 0), and the variance bounds as floats."""
+    same_sign = centred[0][0] >= 0 or centred[1][0] <= 0
+    qs = [top / bottom for top, bottom in centred]  # int / int rounds correctly
+    ps = [tail_p(q, v, alternative) for q in qs for v in ((lo,) if lo == hi else (lo, hi))]
+    if not same_sign:
+        ps.append(tail_p(0.0, hi, alternative))
+    return min(ps), max(ps), same_sign
 
 
 def p_value_bounds(
@@ -171,13 +192,7 @@ def p_value_bounds(
     exact value, and same_sign is decided in integers.
     """
     nm = bounds.n * bounds.m
-    # q = w - nm/2 = (2a - nm b) / 2b for w = a/b; int / int rounds correctly
+    # q = w - nm/2 = (2a - nm b) / 2b for w = a/b
     centred = [(2 * w.numerator - nm * w.denominator, 2 * w.denominator)
                for w in (bounds.w_min, bounds.w_max)]
-    same_sign = centred[0][0] >= 0 or centred[1][0] <= 0
-    lo, hi = float(var.sigma2_min), float(var.sigma2_max)
-    qs = [top / bottom for top, bottom in centred]
-    ps = [tail_p(q, v, alternative) for q in qs for v in ((lo,) if lo == hi else (lo, hi))]
-    if not same_sign:
-        ps.append(tail_p(0.0, hi, alternative))
-    return min(ps), max(ps), same_sign
+    return _p_range(centred, float(var.sigma2_min), float(var.sigma2_max), alternative)

@@ -27,7 +27,7 @@ from .distributions import make_distribution
 from .exceptions import DegenerateDataError, DomainError
 from .multiplicity import holm_adjust
 from .power import PowerInputs, asymptotic_class, mcar_power, pair_probs
-from .ranks import Sample, Support, tie_profile
+from .ranks import Sample, Support, _group_sizes
 from .robust import (
     FeasibilityReport, TestReport, feasibility, robust_test_distinct, robust_test_general,
 )
@@ -83,9 +83,11 @@ def _compare(args: argparse.Namespace, x: Sample, y: Sample) -> tuple[TestReport
     general variant, "off" the distinct one, and "auto" the general one when
     --support is given or the observed values tie."""
     support = _parse_support(args.support) if args.support is not None else None
+    if args.ties == "off" and support is not None:
+        raise DomainError("--ties off takes no --support; use --ties auto or on, or drop --support")
     alternative = Alternative.parse(args.alternative)
     general = args.ties == "on" or args.ties == "auto" and support is not None
-    tied = not general and tie_profile(np.concatenate((x.observed, y.observed))).has_ties
+    tied = not general and bool((_group_sizes(np.concatenate((x.observed, y.observed))) > 1).any())
     if general or tied and args.ties == "auto":
         report = robust_test_general(x, y, support or Support(), args.alpha, alternative)
     else:

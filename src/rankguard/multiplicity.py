@@ -1,5 +1,5 @@
-"""Step-down familywise error control and the paired-measurement transform
-used by the analysis pipeline."""
+"""Step-down familywise error control, and a paired-measurement transform
+that ``demos/grouped_analysis.py`` applies before its comparisons."""
 
 from __future__ import annotations
 

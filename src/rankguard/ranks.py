@@ -1,10 +1,10 @@
 """Exact multiset rank arithmetic.
 
 Ranks of tied values are midranks (the mean of the integer ranks the tied
-group would occupy), so every rank is an exact half-integer. The statistic
-and the variances are returned as ``fractions.Fraction`` so that downstream
-comparisons are exact; floats enter only when a normal CDF is finally
-evaluated.
+group would occupy), so every rank is an exact half-integer. Internally the
+statistic is kept doubled as an int and each variance as an integer ratio;
+public results are ``fractions.Fraction``. Floats enter only when a normal
+CDF is finally evaluated, each rounded once from its exact value.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ class Sample:
         values = np.asarray(self.observed, dtype=float)
         if values.ndim != 1:
             raise DomainError(f"observed must be one-dimensional, got shape {values.shape}")
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = float(values[~finite][0])
-            raise DomainError(f"observed contains a non-finite value: {bad!r}")
         observed = np.sort(values)
+        # sorted, a NaN comes last and an infinity first or last
+        if observed.size and not -math.inf < observed[0] <= observed[-1] < math.inf:
+            bad = float(values[~np.isfinite(values)][0])
+            raise DomainError(f"observed contains a non-finite value: {bad!r}")
         # np.sort may reorder tied zeros and rewrite their signs: put them
         # back in input order, as a stable sort leaves them
-        lo, hi = np.searchsorted(observed, 0.0, "left"), np.searchsorted(observed, 0.0, "right")
+        lo, hi = observed.searchsorted(0.0, "left"), observed.searchsorted(0.0, "right")
         if hi - lo > 1:
             observed[lo:hi] = values[values == 0]
         observed.flags.writeable = False
@@ -150,10 +150,19 @@ def wmw_statistic(x: Sequence[float], y: Sequence[float]) -> Fraction:
 
 
 def _group_sizes(pool: Sequence[float]) -> np.ndarray:
-    """Sizes of the tie groups of the pooled multiset, ordered by value."""
-    if len(pool) == 0:
+    """Sizes of the tie groups of the pooled multiset, ordered by value, as
+    ``np.unique(pool, return_counts=True)`` gives them: every NaN is one group."""
+    pool = np.sort(np.asarray(pool, dtype=float))
+    if not pool.size:
         raise DomainError("pool must be nonempty")
-    return np.unique(np.asarray(pool, dtype=float), return_counts=True)[1]
+    # starts[i]: a group starts at i; starts[N] closes the last one
+    starts = np.empty(pool.size + 1, dtype=bool)
+    starts[0] = starts[-1] = True
+    np.not_equal(pool[1:], pool[:-1], out=starts[1:-1])
+    if pool[-1] != pool[-1]:  # NaN != NaN would split the NaNs
+        starts[pool.searchsorted(np.nan) + 1 : -1] = False
+    edges = starts.nonzero()[0]
+    return edges[1:] - edges[:-1]
 
 
 def tie_profile(pool: Sequence[float]) -> TieProfile:
@@ -166,14 +175,16 @@ def null_variance(n: int, m: int) -> Fraction:
     return Fraction(n * m * (n + m + 1), 12)
 
 
-def _tie_variance(n: int, m: int, sizes: Sequence[int]) -> Fraction:
-    """:func:`tie_corrected_variance` from the tie-group sizes alone. Groups of
-    one add nothing and are skipped; the sum is taken in Python ints, so it
-    stays exact where d^3 overflows int64."""
-    sizes = np.asarray(sizes)
-    correction = sum(d**3 - d for d in sizes[sizes > 1].tolist())
+def _tie_correction(sizes: np.ndarray) -> int:
+    """The sum of d^3 - d over the tie-group sizes d > 1, exact in Python ints."""
+    return sum([d * d * d - d for d in sizes[sizes > 1].tolist()])
+
+
+def _tie_variance(n: int, m: int, correction: int) -> tuple[int, int]:
+    """:func:`tie_corrected_variance` as the integer ratio nm((N+1)N(N-1) -
+    correction) / 12N(N-1), N = n + m; the numerator is 0 on a fully tied pool."""
     N = n + m
-    return null_variance(n, m) - Fraction(n * m * correction, 12 * N * (N - 1))
+    return n * m * ((N + 1) * N * (N - 1) - correction), 12 * N * (N - 1)
 
 
 def tie_corrected_variance(n: int, m: int, profile: TieProfile) -> Fraction:
@@ -188,4 +199,4 @@ def tie_corrected_variance(n: int, m: int, profile: TieProfile) -> Fraction:
     N = n + m
     if profile.total != N:
         raise DomainError(f"profile covers {profile.total} values, expected n + m = {N}")
-    return _tie_variance(n, m, profile.multiplicities)
+    return Fraction(*_tie_variance(n, m, sum(d**3 - d for d in profile.multiplicities)))

@@ -30,7 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .bounds import StatBounds, VarBounds, p_value_bounds, stat_bounds_general, variance_bounds
+import numpy as np
+
+from .bounds import (
+    StatBounds, VarBounds, _doubled_stat_bounds, _p_range, _variance_ratios, variance_bounds,
+)
 from .exceptions import DegenerateDataError, DomainError
 from .gaussian import normal_quantile
 from .ranks import Sample, Support, _doubled_wmw_statistic, null_variance
@@ -128,43 +132,33 @@ def _decide(p_min: float, p_max: float, alpha: float) -> Decision:
     return Decision.NOT_SIGNIFICANT
 
 
-def _robust_test(
-    x: Sample,
-    y: Sample,
-    support: Support,
-    var: VarBounds,
-    alpha: float,
-    alternative: Alternative,
-    variant: str,
-) -> TestReport:
-    if x.n_observed == 0 or y.n_observed == 0:
-        # One side entirely missing: any statistic value in [0, nm] is
-        # attainable and nothing can be concluded.
-        bounds = StatBounds(
-            w_min=Fraction(0),
-            w_max=Fraction(x.total * y.total),
-            n=x.total,
-            m=y.total,
-            n_obs_x=x.n_observed,
-            n_obs_y=y.n_observed,
-        )
-        p_min, p_max, same_sign = 0.0, 1.0, False
-        decision = Decision.NOT_SIGNIFICANT
-    else:
-        bounds = stat_bounds_general(x, y, support)
-        p_min, p_max, same_sign = p_value_bounds(bounds, var, alternative)
-        decision = _decide(p_min, p_max, alpha)
-    return TestReport(
-        decision=decision,
-        p_min=p_min,
-        p_max=p_max,
-        w_bounds=bounds,
-        condition_same_sign=same_sign,
-        alpha=alpha,
-        alternative=alternative,
-        variance=var,
-        variant=variant,
-    )
+def _p_bounds(x: Sample, y: Sample, support: Support, lo: float, hi: float,
+              alternative: Alternative, doubled: int | None) -> tuple[float, float, bool, int, int]:
+    """(p_min, p_max, same_sign, 2 w_min, 2 w_max) at the variance bounds lo
+    and hi, from 2W'. With one side entirely missing (doubled None) any
+    statistic value in [0, nm] is attainable and nothing can be concluded."""
+    if hi == 0:
+        raise DegenerateDataError("pooled sample holds a single distinct value with nothing "
+                                  "missing; no completion can ever reject")
+    nm = x.total * y.total
+    if doubled is None:
+        return 0.0, 1.0, False, 0, 2 * nm
+    lo2, hi2 = _doubled_stat_bounds(x, y, support, doubled)
+    return (*_p_range(((lo2 - nm, 2), (hi2 - nm, 2)), lo, hi, alternative), lo2, hi2)
+
+
+def _robust_test(x: Sample, y: Sample, support: Support, var: VarBounds, alpha: float,
+                 alternative: Alternative, variant: str) -> TestReport:
+    paired = x.n_observed and y.n_observed
+    doubled = _doubled_wmw_statistic(x.observed, y.observed) if paired else None
+    p_min, p_max, same_sign, lo2, hi2 = _p_bounds(
+        x, y, support, float(var.sigma2_min), float(var.sigma2_max), alternative, doubled)
+    bounds = StatBounds(Fraction(lo2, 2), Fraction(hi2, 2), x.total, y.total,
+                        x.n_observed, y.n_observed)
+    decision = Decision.NOT_SIGNIFICANT if doubled is None else _decide(p_min, p_max, alpha)
+    return TestReport(decision=decision, p_min=p_min, p_max=p_max, w_bounds=bounds,
+                      condition_same_sign=same_sign, alpha=alpha, alternative=alternative,
+                      variance=var, variant=variant)
 
 
 def robust_test_distinct(
@@ -260,13 +254,18 @@ def robust_test_general(
     is required for a valid lower bound.
     """
     _check(alpha, alternative)
-    var = variance_bounds(x, y)
-    if var.sigma2_max == 0:
-        raise DegenerateDataError(
-            "pooled sample holds a single distinct value with nothing missing; "
-            "no completion can ever reject"
-        )
-    return _robust_test(x, y, support, var, alpha, alternative, "general")
+    return _robust_test(x, y, support, variance_bounds(x, y), alpha, alternative, "general")
+
+
+def _general_p_max(x: Sample, y: Sample, support: Support, alternative: Alternative,
+                   doubled: int | None, sizes: np.ndarray | None) -> float:
+    """``robust_test_general(x, y, support, alpha, alternative).p_max``, with
+    its errors, from 2W' (None when a side has no observed value) and the
+    tie-group sizes of the observed pool (None when it is empty)."""
+    if sizes is None:
+        raise DomainError("at least one observed value is required")
+    num_min, num_max, den, _ = _variance_ratios(x.total, y.total, sizes, x.n_missing + y.n_missing)
+    return _p_bounds(x, y, support, num_min / den, num_max / den, alternative, doubled)[1]
 
 
 def feasibility(

@@ -38,9 +38,9 @@ import numpy as np
 
 from .distributions import make_distribution
 from .exceptions import DegenerateDataError, DomainError
-from .ranks import Sample, Support
-from .robust import _check, _DistinctRejection, robust_test_general
-from .wmw import Alternative, impute_hot_deck, impute_mean, wmw_test
+from .ranks import Sample, Support, _doubled_wmw_statistic, _group_sizes
+from .robust import _check, _DistinctRejection, _general_p_max
+from .wmw import Alternative, _wmw, impute_hot_deck, impute_mean
 
 __all__ = [
     "MECHANISMS",
@@ -313,6 +313,9 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, 
     generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(roles)]
     if "proposed" in spec.methods:
         distinct = _DistinctRejection(spec.n, spec.m, spec.alpha, alternative)
+    # the methods that read the observed pair's tie groups, and those that read its 2W'
+    grouped = {"proposed_ties", "ignore"}.intersection(spec.methods)
+    paired = grouped | {"proposed"}.intersection(spec.methods)
     tallies: Counter[tuple[str, int]] = Counter()  # (method, 0) rejected, (method, 1) degenerate
     for trial, seeds in _stream_seeds(spec.seed, start, stop, roles):
         def stream(role: int) -> np.random.Generator:
@@ -324,25 +327,31 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, 
         y_full = dist_y.sample(stream(_ROLE_Y), spec.m)
         x_s = _apply_missingness(x_full, ms_x, stream(_ROLE_MISS_X))
         y_s = _apply_missingness(y_full, ms_y, stream(_ROLE_MISS_Y))
+        # one observed summary a trial: 2W' needs values on both sides, the tie groups on one
+        n1, m1 = x_s.n_observed, y_s.n_observed
+        doubled = (_doubled_wmw_statistic(x_s.observed, y_s.observed)
+                   if paired and n1 and m1 else None)
+        sizes = (_group_sizes(np.concatenate((x_s.observed, y_s.observed)))
+                 if grouped and (n1 or m1) else None)
         for method in spec.methods:
             # a robust test is SIGNIFICANT iff p_max < alpha; every other
             # method rejects iff its p-value is below alpha
             try:
                 if method == "proposed":
-                    rejected = distinct.rejects(x_s, y_s)
+                    rejected = doubled is not None and distinct.rejects_doubled(n1, m1, doubled)
                 else:
                     if method == "proposed_ties":
-                        p = robust_test_general(x_s, y_s, support, spec.alpha, alternative).p_max
+                        p = _general_p_max(x_s, y_s, support, alternative, doubled, sizes)
                     elif method == "ignore":
-                        _, p = wmw_test(x_s.observed, y_s.observed, alternative)
+                        p = _wmw(x_s.observed, y_s.observed, alternative, doubled, sizes)[1]
                     elif method == "mean_impute":
-                        _, p = wmw_test(impute_mean(x_s), impute_mean(y_s), alternative)
+                        p = _wmw(impute_mean(x_s), impute_mean(y_s), alternative)[1]
                     elif method == "hot_deck":
                         rng = stream(_ROLE_HOT_DECK)
                         x_i, y_i = impute_hot_deck(x_s, rng), impute_hot_deck(y_s, rng)
-                        _, p = wmw_test(x_i, y_i, alternative)
+                        p = _wmw(x_i, y_i, alternative)[1]
                     else:  # oracle
-                        _, p = wmw_test(x_full, y_full, alternative)
+                        p = _wmw(x_full, y_full, alternative)[1]
                     rejected = p < spec.alpha
             except DegenerateDataError:
                 tallies[method, 1] += 1

@@ -13,7 +13,7 @@ import numpy as np
 
 from .exceptions import DegenerateDataError, DomainError
 from .gaussian import normal_cdf
-from .ranks import Sample, _group_sizes, _tie_variance, wmw_statistic
+from .ranks import Sample, _doubled_wmw_statistic, _group_sizes, _tie_correction, _tie_variance
 
 __all__ = [
     "Alternative",
@@ -34,17 +34,11 @@ class Alternative(enum.Enum):
     @classmethod
     def parse(cls, text: str) -> "Alternative":
         key = text.strip().lower().replace("-", "_")
-        table = {
-            "two_sided": cls.TWO_SIDED,
-            "twosided": cls.TWO_SIDED,
-            "x_greater": cls.X_GREATER,
-            "greater": cls.X_GREATER,
-            "x_less": cls.X_LESS,
-            "less": cls.X_LESS,
-        }
-        if key not in table:
-            raise DomainError(f"unknown alternative {text!r}")
-        return table[key]
+        aliases = {"twosided": "two_sided", "greater": "x_greater", "less": "x_less"}
+        try:
+            return cls(aliases.get(key, key))
+        except ValueError:
+            raise DomainError(f"unknown alternative {text!r}") from None
 
 
 def tail_p(q: Fraction | float, sigma2: Fraction | float, alternative: Alternative) -> float:
@@ -67,6 +61,24 @@ def tail_p(q: Fraction | float, sigma2: Fraction | float, alternative: Alternati
     raise DomainError(f"unknown alternative {alternative!r}")
 
 
+def _wmw(x: Sequence[float], y: Sequence[float], alternative: Alternative,
+         doubled: int | None = None, sizes: np.ndarray | None = None) -> tuple[int, float]:
+    """:func:`wmw_test` with twice the statistic as an int. A caller that has
+    them passes 2W and the pool's tie-group sizes. Both int / int divisions
+    round correctly, so they give the floats of the exact Fractions."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not x.size or not y.size:
+        raise DegenerateDataError("both samples must be nonempty")
+    n, m = x.size, y.size
+    doubled = _doubled_wmw_statistic(x, y) if doubled is None else doubled
+    sizes = _group_sizes(np.concatenate((x, y))) if sizes is None else sizes
+    num, den = _tie_variance(n, m, _tie_correction(sizes))
+    if num <= 0:
+        raise DegenerateDataError("pooled sample is fully tied; the statistic has zero variance")
+    return doubled, tail_p((doubled - n * m) / 2, num / den, alternative)
+
+
 def wmw_test(
     x_obs: Sequence[float],
     y_obs: Sequence[float],
@@ -78,16 +90,8 @@ def wmw_test(
     tie-corrected null variance, which is the plain nm(n+m+1)/12 on distinct
     data. No continuity correction is applied.
     """
-    x_obs = np.asarray(x_obs, dtype=float)
-    y_obs = np.asarray(y_obs, dtype=float)
-    if not x_obs.size or not y_obs.size:
-        raise DegenerateDataError("both samples must be nonempty")
-    n, m = x_obs.size, y_obs.size
-    w = wmw_statistic(x_obs, y_obs)
-    sigma2 = _tie_variance(n, m, _group_sizes(np.concatenate((x_obs, y_obs))))
-    if sigma2 <= 0:
-        raise DegenerateDataError("pooled sample is fully tied; the statistic has zero variance")
-    return w, tail_p(w - Fraction(n * m, 2), sigma2, alternative)
+    doubled, p = _wmw(x_obs, y_obs, alternative)
+    return Fraction(doubled, 2), p
 
 
 def impute_mean(sample: Sample) -> list[float]:

@@ -255,6 +255,40 @@ class TestVarianceBounds:
                     assert oracle_tie_variance(n, m, piled_pool) == vb.sigma2_min
                     assert Counter(piled_pool)[mode] == vb.d_max
 
+    @settings(deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 1.0, 2.5, 3.0]), max_size=8),
+        st.lists(st.sampled_from([0.0, 1.0, 2.5, 3.0]), max_size=8),
+        st.integers(0, 6),
+        st.integers(0, 6),
+    )
+    def test_extremes_equal_the_oracle(self, x_obs, y_obs, miss_x, miss_y):
+        if not (x_obs or y_obs) or len(x_obs) + miss_x < 1 or len(y_obs) + miss_y < 1:
+            return
+        x, y = Sample(x_obs, miss_x), Sample(y_obs, miss_y)
+        self._assert_extremes(x, y)
+
+    def test_extremes_equal_the_oracle_past_int64_cube(self):
+        # n + m > 2**21: the piled group's d^3 no longer fits in int64
+        missing = 2**21
+        x, y = Sample((1.0, 1.0, 2.0), missing), Sample((2.0, 3.0))
+        assert x.total + y.total > 2**21 and (2 + missing) ** 3 > 2**63
+        self._assert_extremes(x, y)
+
+    @staticmethod
+    def _assert_extremes(x: Sample, y: Sample) -> None:
+        """sigma2_max is the variance with every missing value fresh and
+        distinct; sigma2_min the one with all of them on a largest group."""
+        n, m = x.total, y.total
+        pool = x.observed.tolist() + y.observed.tolist()
+        missing = x.n_missing + y.n_missing
+        mode, count = Counter(pool).most_common(1)[0]
+        vb = variance_bounds(x, y)
+        fresh = [max(pool) + 1.0 + i for i in range(missing)]
+        assert vb.sigma2_max == oracle_tie_variance(n, m, pool + fresh)
+        assert vb.sigma2_min == oracle_tie_variance(n, m, pool + [mode] * missing)
+        assert vb.d_max == count + missing
+
     def test_group_size_past_int64_cube(self):
         # d_max = 3,000,002 > 2,097,151, so d^3 no longer fits in int64
         missing = 3_000_000

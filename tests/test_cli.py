@@ -109,6 +109,21 @@ class TestTestCommand:
                                  "--ties", "off")
         assert code == EXIT_BAD_INPUT and out == "" and "--ties off" in err
 
+    def test_ties_off_refuses_support(self, capsys, tmp_path):
+        # the distinct variant has no support to apply the bounds to
+        argv = ("test", "--x", "1,3", "--y", "2,4", "--ties", "off", "--support", "0,5")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert "--ties off" in err and "--support" in err
+        data = tmp_path / "groups.csv"
+        data.write_text("group,value\na,1\na,3\nb,2\nb,4\n")
+        code, out, err = run_cli(capsys, "analyze", "--data", str(data), "--control", "a",
+                                 "--ties", "off", "--support", "0,")
+        assert code == EXIT_BAD_INPUT and out == ""
+        assert "--ties off" in err and "--support" in err
+        # --support none names no bound, so there is nothing to drop
+        assert run_json(capsys, *argv[:-1], "none")["variant"] == "distinct"
+
     def test_report_round_trip(self, capsys):
         payload = run_json(
             capsys, "test", "--x", "1,2,3", "--y", "4,5,6", "--n-total", "4", "--ties", "off"

@@ -1,10 +1,11 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankguard import (
@@ -19,6 +20,7 @@ from rankguard import (
     tie_profile,
     wmw_statistic,
 )
+from rankguard.ranks import _group_sizes
 
 from oracles import all_multisets, oracle_midranks, oracle_permutation_variance, oracle_wmw
 
@@ -160,6 +162,25 @@ class TestTieProfile:
     def test_total(self):
         profile = tie_profile([2, 2, 9])
         assert profile.total == 3 and profile.has_ties
+
+
+class TestGroupSizes:
+    # signed zeros tie, each infinity is a group, and every NaN joins one group
+    @settings(deadline=None)
+    @given(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, -2.5, math.inf, -math.inf, math.nan]) | st.floats(),
+        min_size=1, max_size=40,
+    ))
+    def test_equal_numpy_unique_counts(self, pool):
+        expected = np.unique(np.array(pool), return_counts=True)[1].tolist()
+        assert _group_sizes(pool).tolist() == expected
+        assert _group_sizes(np.array(pool)).tolist() == expected
+        assert tie_profile(pool).multiplicities == tuple(expected)
+
+    def test_several_nans_form_one_group(self):
+        pool = [math.nan, 1.0, -0.0, math.nan, math.inf, 0.0, math.nan, -math.inf]
+        assert _group_sizes(pool).tolist() == [1, 2, 1, 1, 3]
+        assert _group_sizes([math.nan, math.nan]).tolist() == [2]
 
 
 class TestTieCorrectedVariance:

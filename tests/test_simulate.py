@@ -2,6 +2,7 @@ import csv
 import math
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -384,3 +385,32 @@ class TestTrialLoopOracle:
             verdicts["rejected"] += outcome.rejections
             verdicts["kept"] += outcome.trials - outcome.rejections
         assert verdicts["rejected"] > 0 and verdicts["kept"] > 0
+
+
+def _shared_summary_cells():
+    sim_methods = [ScenarioSpec("poisson(2)", "poisson(2)", 100, 100,
+                                (MissingnessSpec("mnar_positive", s, "x_only"),), METHODS,
+                                trials=30, seed=11)
+                   for s in (0.05, 0.1, 0.2)]
+    # one-sided at alpha = 0.7; the cell n = 1, s = 0.6 deletes the only x value
+    one_sided = [ScenarioSpec("normal(0,1)", "normal(0.3,1)", n, m, (MissingnessSpec("mcar", s),),
+                              METHODS, alpha=0.7, trials=30, seed=11, alternative=alt)
+                 for alt in ("x_greater", "x_less")
+                 for n, m in ((1, 4), (30, 30))
+                 for s in (0.0, 0.1, 0.6)]
+    return sim_methods + one_sided
+
+
+class TestSharedObservedSummary:
+    """A trial computes the observed pair's 2W' and tie groups once for every
+    method; a method run alone must tally exactly as it does among all six."""
+
+    @pytest.mark.parametrize("spec", _shared_summary_cells(), ids=lambda spec: (
+        f"{spec.dist_x}-{spec.n}x{spec.m}-{spec.mechanism_label}-{spec.s_label}-"
+        f"{spec.alternative}"))
+    def test_each_method_alone_tallies_as_among_all_six(self, spec):
+        together = _run_block(spec, 0, spec.trials)
+        for method in METHODS:
+            alone = _run_block(replace(spec, methods=(method,)), 0, spec.trials)
+            assert alone == Counter({k: v for k, v in together.items() if k[0] == method}), method
+        assert sum(together.values()) > 0

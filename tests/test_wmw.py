@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankguard import (
     Alternative,
@@ -12,6 +16,12 @@ from rankguard import (
     normal_quantile,
     wmw_test,
 )
+from rankguard.wmw import tail_p
+
+from oracles import oracle_tie_variance, oracle_wmw
+
+# tied values, signed zeros, and arbitrary finite reals
+VALUES = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-1e6, 1e6)
 
 
 class TestNormalCdfQuantile:
@@ -53,6 +63,20 @@ class TestNormalCdfQuantile:
 
 
 class TestWmwTest:
+    @settings(deadline=None)
+    @given(st.lists(VALUES, min_size=1, max_size=30), st.lists(VALUES, min_size=1, max_size=30))
+    def test_p_equals_the_fraction_route_bit_for_bit(self, x, y):
+        n, m = len(x), len(y)
+        sigma2 = oracle_tie_variance(n, m, x + y)
+        q = oracle_wmw(x, y) - Fraction(n * m, 2)
+        for alternative in Alternative:
+            if sigma2 == 0:
+                with pytest.raises(DegenerateDataError):
+                    wmw_test(x, y, alternative)
+            else:
+                assert wmw_test(x, y, alternative) == (q + Fraction(n * m, 2),
+                                                       tail_p(q, sigma2, alternative))
+
     def test_fully_tied_pair_is_degenerate(self):
         with pytest.raises(DegenerateDataError):
             wmw_test([3.0], [3.0])

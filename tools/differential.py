@@ -34,6 +34,11 @@ reports at alpha = 0.05. Fields:
     simulate_w1, simulate_w2          exit code and CSV bytes of `rankguard
                                       simulate --seed 7` on the sim_methods
                                       scenario (100 trials) at 1 and 2 workers
+    simulate_mcar_w1, simulate_mcar_w2  the same on normal(0,1) against
+                                      normal(0.5,1), n = m = 20, MCAR at
+                                      s = 0.1 and 0.3, all six methods:
+                                      continuous data, where ignore and
+                                      proposed_ties see no ties
     simulate_x_greater_w1, ...        the same on normal(0,1) against
     simulate_x_less_w2                normal(0.3,1), MCAR, proposed and
                                       proposed_ties, one-sided at alpha = 0.7,
@@ -83,6 +88,12 @@ SIM_SCENARIOS = {  # field prefix -> scenario file
     "simulate": (
         "dist_x = poisson(2)\ndist_y = poisson(2)\nn = 100\nm = 100\n"
         "mechanism_x = mnar_positive\ns = 0.05,0.1,0.2\n"
+        "methods = proposed,proposed_ties,ignore,mean_impute,hot_deck,oracle\n"
+        "trials = 100\n"
+    ),
+    "simulate_mcar": (
+        "dist_x = normal(0,1)\ndist_y = normal(0.5,1)\nn = 20\nm = 20\n"
+        "mechanism = mcar\ns = 0.1,0.3\n"
         "methods = proposed,proposed_ties,ignore,mean_impute,hot_deck,oracle\n"
         "trials = 100\n"
     ),
