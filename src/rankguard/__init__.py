@@ -24,7 +24,6 @@ from .power import PairProbs, PowerInputs, PowerLimit, asymptotic_class, mcar_po
 from .ranks import (
     Sample,
     Support,
-    TieProfile,
     null_variance,
     tie_corrected_variance,
     tie_profile,
@@ -72,7 +71,6 @@ __all__ = [
     "StatBounds",
     "Support",
     "TestReport",
-    "TieProfile",
     "VarBounds",
     "apply_mcar",
     "apply_mnar_positive",

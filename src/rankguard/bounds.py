@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import DomainError
 from .ranks import (
-    Sample, Support, _doubled_wmw_statistic, _group_sizes, _tie_correction, _tie_variance,
+    Sample, Support, _doubled_wmw_statistic, _tie_correction, _tie_variance, tie_profile,
 )
 from .wmw import Alternative, tail_p
 
@@ -157,7 +157,7 @@ def variance_bounds(x: Sample, y: Sample) -> VarBounds:
     if not pooled.size:
         raise DomainError("at least one observed value is required")
     num_min, num_max, den, d_max = _variance_ratios(
-        x.total, y.total, _group_sizes(pooled), x.n_missing + y.n_missing)
+        x.total, y.total, tie_profile(pooled), x.n_missing + y.n_missing)
     return VarBounds(Fraction(num_min, den), Fraction(num_max, den), d_max)
 
 
@@ -189,7 +189,11 @@ def p_value_bounds(
     tied completion can standardise further out than either endpoint.
 
     The corners go to :func:`tail_p` as floats, each rounded once from its
-    exact value, and same_sign is decided in integers.
+    exact value, and same_sign is decided in integers. The bounds are the
+    float min and max over every corner, not the corners that monotonicity
+    names: scipy's normal CDF is not monotone at one-ulp steps, so with
+    sigma2_min one ulp below sigma2_max the smaller variance can give the
+    larger p.
     """
     nm = bounds.n * bounds.m
     # q = w - nm/2 = (2a - nm b) / 2b for w = a/b

@@ -27,7 +27,7 @@ from .distributions import make_distribution
 from .exceptions import DegenerateDataError, DomainError
 from .multiplicity import holm_adjust
 from .power import PowerInputs, asymptotic_class, mcar_power, pair_probs
-from .ranks import Sample, Support, _group_sizes
+from .ranks import Sample, Support, tie_profile
 from .robust import (
     FeasibilityReport, TestReport, feasibility, robust_test_distinct, robust_test_general,
 )
@@ -80,22 +80,15 @@ def _parse_support(text: str) -> Support | None:
 def _compare(args: argparse.Namespace, x: Sample, y: Sample) -> tuple[TestReport, FeasibilityReport]:
     """The robust report of x against y at --alpha and --alternative, and the
     feasibility screen of their (total, observed) counts. --ties "on" runs the
-    general variant, "off" the distinct one, and "auto" the general one when
-    --support is given or the observed values tie."""
+    general variant, and "auto" runs it when --support is given or the
+    observed values tie, the distinct variant otherwise."""
     support = _parse_support(args.support) if args.support is not None else None
-    if args.ties == "off" and support is not None:
-        raise DomainError("--ties off takes no --support; use --ties auto or on, or drop --support")
     alternative = Alternative.parse(args.alternative)
-    general = args.ties == "on" or args.ties == "auto" and support is not None
-    tied = not general and bool((_group_sizes(np.concatenate((x.observed, y.observed))) > 1).any())
-    if general or tied and args.ties == "auto":
+    if (args.ties == "on" or support is not None
+            or (tie_profile(np.concatenate((x.observed, y.observed))) > 1).any()):
         report = robust_test_general(x, y, support or Support(), args.alpha, alternative)
     else:
         report = robust_test_distinct(x, y, args.alpha, alternative)
-        if tied:
-            # on tied data the distinct variant's p_min can exceed the p-value
-            # of some completion, so its NOT_SIGNIFICANT verdict would not hold
-            raise DomainError("--ties off: the observed values tie; use --ties auto or on")
     screen = feasibility(x.total, y.total, x.n_observed, y.n_observed, args.alpha, alternative)
     return report, screen
 
@@ -213,9 +206,8 @@ def _scenario_from_entries(
 
     support = None  # absent key: derive from the distributions
     if "support" in entries:
-        parsed = _parse_support(entries["support"])
         # an explicit "none" forces the unbounded domain
-        support = (None, None) if parsed is None else (parsed.lower, parsed.upper)
+        support = _parse_support(entries["support"]) or Support()
 
     spec = ScenarioSpec(
         dist_x=entries["dist_x"],
@@ -319,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["two-sided", "greater", "less"])
     variant = argparse.ArgumentParser(add_help=False)
     variant.add_argument("--support", help="'lo,hi' ('lo,' or ',hi' for one side) or 'none'")
-    variant.add_argument("--ties", default="auto", choices=["auto", "on", "off"])
+    variant.add_argument("--ties", default="auto", choices=["auto", "on"])
 
     p_test = sub.add_parser("test", parents=[alpha_alt, variant],
                             help="robust two-sample test on one dataset")

@@ -2,12 +2,13 @@
 
 A distribution is specified as a string like ``normal(0,1)``, ``poisson(3)``,
 ``uniform(0,1)`` or ``exponential(1)``. Parsing keeps the object as plain
-data (name + parameters) so scenario specs stay picklable; scipy frozen
-distributions are constructed on demand.
+data (name + parameters) so scenario specs stay picklable; the scipy frozen
+distribution is built on first use and kept.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -65,6 +66,7 @@ class Distribution:
             return self.params[0], self.params[1]
         return 0.0, None  # exponential
 
+    @functools.cached_property
     def _frozen(self):
         if self.name == "normal":
             return stats.norm(self.params[0], self.params[1])
@@ -77,12 +79,12 @@ class Distribution:
         return stats.expon(scale=1.0 / rate)
 
     def cdf(self, x):
-        return self._frozen().cdf(x)
+        return self._frozen.cdf(x)
 
     def pdf(self, x):
         if self.is_discrete:
             raise DomainError(f"{self.spec} is discrete and has no density")
-        return self._frozen().pdf(x)
+        return self._frozen.pdf(x)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.name == "normal":

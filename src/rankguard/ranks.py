@@ -22,7 +22,6 @@ from .exceptions import DegenerateDataError, DomainError
 __all__ = [
     "Sample",
     "Support",
-    "TieProfile",
     "wmw_statistic",
     "tie_profile",
     "tie_corrected_variance",
@@ -111,25 +110,6 @@ class Support:
         return True
 
 
-@dataclass(frozen=True)
-class TieProfile:
-    """Multiplicities of the distinct values of a pooled multiset, in value order."""
-
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(d < 1 for d in self.multiplicities):
-            raise DomainError("multiplicities must be positive")
-
-    @property
-    def total(self) -> int:
-        return sum(self.multiplicities)
-
-    @property
-    def has_ties(self) -> bool:
-        return any(d > 1 for d in self.multiplicities)
-
-
 def _doubled_wmw_statistic(x: Sequence[float], y: Sequence[float]) -> int:
     """Twice :func:`wmw_statistic`, as an exact int: for each x value, twice
     the y values below it plus the y values equal to it."""
@@ -149,7 +129,7 @@ def wmw_statistic(x: Sequence[float], y: Sequence[float]) -> Fraction:
     return Fraction(_doubled_wmw_statistic(x, y), 2)
 
 
-def _group_sizes(pool: Sequence[float]) -> np.ndarray:
+def tie_profile(pool: Sequence[float]) -> np.ndarray:
     """Sizes of the tie groups of the pooled multiset, ordered by value, as
     ``np.unique(pool, return_counts=True)`` gives them: every NaN is one group."""
     pool = np.sort(np.asarray(pool, dtype=float))
@@ -163,11 +143,6 @@ def _group_sizes(pool: Sequence[float]) -> np.ndarray:
         starts[pool.searchsorted(np.nan) + 1 : -1] = False
     edges = starts.nonzero()[0]
     return edges[1:] - edges[:-1]
-
-
-def tie_profile(pool: Sequence[float]) -> TieProfile:
-    """Group multiplicities of the pooled multiset, ordered by value."""
-    return TieProfile(tuple(_group_sizes(pool).tolist()))
 
 
 def null_variance(n: int, m: int) -> Fraction:
@@ -187,16 +162,19 @@ def _tie_variance(n: int, m: int, correction: int) -> tuple[int, int]:
     return n * m * ((N + 1) * N * (N - 1) - correction), 12 * N * (N - 1)
 
 
-def tie_corrected_variance(n: int, m: int, profile: TieProfile) -> Fraction:
+def tie_corrected_variance(n: int, m: int, sizes: Sequence[int]) -> Fraction:
     """Null variance of the statistic with the tie correction applied.
 
     nm(n+m+1)/12 minus nm / {12(n+m)(n+m-1)} times the sum of d^3 - d over
-    the tie-group multiplicities d. Equals the uncorrected variance exactly
-    when every multiplicity is 1.
+    the tie-group sizes d, as :func:`tie_profile` gives them. Equals the
+    uncorrected variance exactly when every size is 1.
     """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if (sizes < 1).any():
+        raise DomainError("multiplicities must be positive")
     if n < 1 or m < 1:
         raise DomainError("both sample sizes must be at least 1")
-    N = n + m
-    if profile.total != N:
-        raise DomainError(f"profile covers {profile.total} values, expected n + m = {N}")
-    return Fraction(*_tie_variance(n, m, sum(d**3 - d for d in profile.multiplicities)))
+    N, total = n + m, int(sizes.sum())
+    if total != N:
+        raise DomainError(f"profile covers {total} values, expected n + m = {N}")
+    return Fraction(*_tie_variance(n, m, _tie_correction(sizes)))

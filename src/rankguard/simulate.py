@@ -38,7 +38,7 @@ import numpy as np
 
 from .distributions import make_distribution
 from .exceptions import DegenerateDataError, DomainError
-from .ranks import Sample, Support, _doubled_wmw_statistic, _group_sizes
+from .ranks import Sample, Support, _doubled_wmw_statistic, tie_profile
 from .robust import _check, _DistinctRejection, _general_p_max
 from .wmw import Alternative, _wmw, impute_hot_deck, impute_mean
 
@@ -104,7 +104,7 @@ class ScenarioSpec:
     trials: int = 1000
     seed: int = 0
     alternative: str = "two_sided"
-    support: tuple[float | None, float | None] | None = None  # None: derive from dists
+    support: Support | None = None  # None: derive from the distributions
 
     def __post_init__(self) -> None:
         if isinstance(self.missingness, MissingnessSpec):
@@ -221,7 +221,7 @@ def _apply_missingness(
 
 def _resolve_support(spec: ScenarioSpec) -> Support:
     if spec.support is not None:
-        return Support(lower=spec.support[0], upper=spec.support[1])
+        return spec.support
     lo_x, hi_x = make_distribution(spec.dist_x).support_bounds
     lo_y, hi_y = make_distribution(spec.dist_y).support_bounds
     lower = None if lo_x is None or lo_y is None else min(lo_x, lo_y)
@@ -331,7 +331,7 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, 
         n1, m1 = x_s.n_observed, y_s.n_observed
         doubled = (_doubled_wmw_statistic(x_s.observed, y_s.observed)
                    if paired and n1 and m1 else None)
-        sizes = (_group_sizes(np.concatenate((x_s.observed, y_s.observed)))
+        sizes = (tie_profile(np.concatenate((x_s.observed, y_s.observed)))
                  if grouped and (n1 or m1) else None)
         for method in spec.methods:
             # a robust test is SIGNIFICANT iff p_max < alpha; every other

@@ -13,7 +13,7 @@ import numpy as np
 
 from .exceptions import DegenerateDataError, DomainError
 from .gaussian import normal_cdf
-from .ranks import Sample, _doubled_wmw_statistic, _group_sizes, _tie_correction, _tie_variance
+from .ranks import Sample, _doubled_wmw_statistic, _tie_correction, _tie_variance, tie_profile
 
 __all__ = [
     "Alternative",
@@ -72,7 +72,7 @@ def _wmw(x: Sequence[float], y: Sequence[float], alternative: Alternative,
         raise DegenerateDataError("both samples must be nonempty")
     n, m = x.size, y.size
     doubled = _doubled_wmw_statistic(x, y) if doubled is None else doubled
-    sizes = _group_sizes(np.concatenate((x, y))) if sizes is None else sizes
+    sizes = tie_profile(np.concatenate((x, y))) if sizes is None else sizes
     num, den = _tie_variance(n, m, _tie_correction(sizes))
     if num <= 0:
         raise DegenerateDataError("pooled sample is fully tied; the statistic has zero variance")
@@ -94,22 +94,24 @@ def wmw_test(
     return Fraction(doubled, 2), p
 
 
-def impute_mean(sample: Sample) -> list[float]:
-    """Fill every missing slot with the mean of the observed values."""
+def impute_mean(sample: Sample) -> np.ndarray:
+    """Fill every missing slot with the mean of the observed values: a float64
+    array, the observed values first."""
     if sample.n_observed == 0:
         raise DegenerateDataError("cannot impute a sample with no observed values")
     # summed as Python floats: from Python 3.12 built-in sum compensates
     # only exact floats, not np.float64
-    values = sample.observed.tolist()
-    return values + [sum(values) / sample.n_observed] * sample.n_missing
+    mean = sum(sample.observed.tolist()) / sample.n_observed
+    return np.concatenate((sample.observed, np.full(sample.n_missing, mean)))
 
 
-def impute_hot_deck(sample: Sample, rng: np.random.Generator) -> list[float]:
+def impute_hot_deck(sample: Sample, rng: np.random.Generator) -> np.ndarray:
     """Fill each missing slot with a donor drawn uniformly (with replacement)
-    from the same sample's observed values."""
+    from the same sample's observed values: a float64 array, the observed
+    values first."""
     if sample.n_observed == 0:
         raise DegenerateDataError("cannot impute a sample with no observed values")
     if sample.n_missing == 0:
-        return sample.observed.tolist()
+        return sample.observed.copy()
     donors = rng.choice(sample.observed, size=sample.n_missing, replace=True)
-    return sample.observed.tolist() + donors.tolist()
+    return np.concatenate((sample.observed, donors))

@@ -2,10 +2,13 @@
 
 Everything here recomputes quantities from first principles (pair counting,
 position averaging, exhaustive enumeration) and deliberately avoids the
-library's formulas, so agreement is meaningful evidence. The exception is
-``oracle_run_block``: the simulator's earlier trial loop, built from the
-library's exact reports and numpy's own generators, kept as the reference
-for the faster loop that replaced it.
+library's formulas, so agreement is meaningful evidence. There are two
+exceptions. ``oracle_run_block`` is the simulator's earlier trial loop,
+built from the library's exact reports and numpy's own generators, kept as
+the reference for the faster loop that replaced it. ``oracle_corner_p_range``
+takes the library's own tail p-value at every corner of the attainable
+rectangle, because what it checks is which corners the p-value bounds
+evaluate, not the tail itself.
 """
 
 from __future__ import annotations
@@ -130,6 +133,21 @@ def distinct_completions(
         for x_part in itertools.combinations(combo, n_missing_x):
             y_part = [v for v in combo if v not in x_part]
             yield list(x_obs) + list(x_part), list(y_obs) + list(y_part)
+
+
+def oracle_corner_p_range(bounds, var, alternative) -> tuple[float, float]:
+    """The smallest and largest float ``tail_p`` over every corner of the
+    rectangle [w_min, w_max] x [sigma2_min, sigma2_max], plus the mean when
+    the interval straddles it, with no monotonicity assumed."""
+    from rankguard.wmw import tail_p
+
+    mu = Fraction(bounds.n * bounds.m, 2)
+    qs = [bounds.w_min - mu, bounds.w_max - mu]
+    if bounds.w_min < mu < bounds.w_max:
+        qs.append(Fraction(0))
+    ps = [tail_p(float(q), float(v), alternative)
+          for q in qs for v in (var.sigma2_min, var.sigma2_max)]
+    return min(ps), max(ps)
 
 
 def all_multisets(values: Sequence[float], size: int) -> Iterable[tuple[float, ...]]:

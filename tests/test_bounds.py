@@ -1,3 +1,5 @@
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +12,9 @@ from rankguard import (
     BoundaryCounts,
     DomainError,
     Sample,
+    StatBounds,
     Support,
+    VarBounds,
     p_value_bounds,
     robust_test_distinct,
     robust_test_general,
@@ -25,6 +29,7 @@ from oracles import (
     all_multisets,
     distinct_completions,
     grid_completions,
+    oracle_corner_p_range,
     oracle_p,
     oracle_tie_variance,
     oracle_two_sided_p,
@@ -342,6 +347,36 @@ class TestPValueBounds:
         assert min(enum_ps) < endpoint_min
         for p in enum_ps:
             assert p_low <= p <= p_high
+
+    def test_float_extremes_over_every_corner(self):
+        # scipy's normal CDF is not monotone at one-ulp steps, so tail_p is
+        # not monotone in the variance there: at q = -9/2 the variance one
+        # ulp below gives the larger two-sided p, where monotonicity would
+        # name it for p_min
+        bounds = StatBounds(Fraction(0), Fraction(0), 3, 3, 3, 3)
+        var = VarBounds(Fraction(16.124693289488846), Fraction(16.12469328948885), 1)
+        two_sided = Alternative.TWO_SIDED
+        assert p_value_bounds(bounds, var, two_sided)[:2] == oracle_corner_p_range(
+            bounds, var, two_sided) == (0.26244040345955855, 0.26244040345955866)
+        # sigma2_min one or two ulps below sigma2_max, endpoints at |z| < 2
+        rng = random.Random(0)
+        for _ in range(2000):
+            n, m = rng.randint(1, 1000), rng.randint(1, 1000)
+            s_max = n * m * (n + m + 1) / 12 * rng.uniform(0.01, 1.0)
+            s_min = math.nextafter(s_max, 0.0)
+            if rng.random() < 0.5:
+                s_min = math.nextafter(s_min, 0.0)
+            # twice w = nm/2 + z sigma, clipped to [0, 2nm]
+            ends = [round(n * m + 2 * rng.uniform(-2, 2) * math.sqrt(s_max)) for _ in range(2)]
+            ends = [min(max(end, 0), 2 * n * m) for end in ends]
+            if rng.random() < 0.3:
+                ends[1] = ends[0]
+            lo2, hi2 = sorted(ends)
+            bounds = StatBounds(Fraction(lo2, 2), Fraction(hi2, 2), n, m, n, m)
+            var = VarBounds(Fraction(s_min), Fraction(s_max), 1)
+            for alt in Alternative:
+                assert p_value_bounds(bounds, var, alt)[:2] == oracle_corner_p_range(
+                    bounds, var, alt), (bounds, var, alt)
 
     def test_sandwich_on_small_grid(self):
         grid = (1.0, 2.0, 3.0)

@@ -25,7 +25,7 @@ def run_json(capsys, *argv):
 class TestTestCommand:
     def test_complete_distinct_data_matches_classical_p(self, capsys):
         payload = run_json(
-            capsys, "test", "--x", "1,3,9,11", "--y", "2,4,6,8", "--ties", "off"
+            capsys, "test", "--x", "1,3,9,11", "--y", "2,4,6,8"
         )
         _, p = wmw_test([1, 3, 9, 11], [2, 4, 6, 8])
         assert payload["p_min"] == pytest.approx(p)
@@ -56,7 +56,7 @@ class TestTestCommand:
         y = ",".join(str(v + 0.5) for v in range(70))
         payload = run_json(
             capsys, "test", "--x", x, "--y", y,
-            "--n-total", "100", "--m-total", "100", "--ties", "off",
+            "--n-total", "100", "--m-total", "100",
         )
         assert payload["decision"] != "significant"
         assert payload["p_max"] == 1.0
@@ -95,38 +95,26 @@ class TestTestCommand:
         assert code == EXIT_DEGENERATE
         assert "single" in err.lower() or "tied" in err.lower()
 
-    def test_ties_off_refuses_tied_observed_values(self, capsys, tmp_path):
+    def test_tied_observed_values_select_the_general_variant(self, capsys):
         # the distinct variant called this not_significant (p_min 0.0538), yet
         # one completion rejects
         assert wmw_test([1, 2, 1, 0, 1, 2, 1], [1, 0, 0, 0, 1, -1])[1] < 0.05
         argv = ("test", "--x", "1,2,1,0,1,2,1", "--y", "1,0,0,0,1", "--m-total", "6")
-        code, out, err = run_cli(capsys, *argv, "--ties", "off")
-        assert code == EXIT_BAD_INPUT and out == "" and "--ties off" in err
         assert run_json(capsys, *argv)["decision"] == "inconclusive_data_dependent"
-        data = tmp_path / "tied.csv"
-        data.write_text("group,value\na,1\na,2\nb,2\nb,3\n")
-        code, out, err = run_cli(capsys, "analyze", "--data", str(data), "--control", "a",
-                                 "--ties", "off")
-        assert code == EXIT_BAD_INPUT and out == "" and "--ties off" in err
 
-    def test_ties_off_refuses_support(self, capsys, tmp_path):
-        # the distinct variant has no support to apply the bounds to
-        argv = ("test", "--x", "1,3", "--y", "2,4", "--ties", "off", "--support", "0,5")
-        code, out, err = run_cli(capsys, *argv)
-        assert code == EXIT_BAD_INPUT and out == ""
-        assert "--ties off" in err and "--support" in err
-        data = tmp_path / "groups.csv"
-        data.write_text("group,value\na,1\na,3\nb,2\nb,4\n")
-        code, out, err = run_cli(capsys, "analyze", "--data", str(data), "--control", "a",
-                                 "--ties", "off", "--support", "0,")
-        assert code == EXIT_BAD_INPUT and out == ""
-        assert "--ties off" in err and "--support" in err
-        # --support none names no bound, so there is nothing to drop
-        assert run_json(capsys, *argv[:-1], "none")["variant"] == "distinct"
+    def test_support_none_runs_the_distinct_variant(self, capsys):
+        argv = ("test", "--x", "1,3", "--y", "2,4", "--support", "none")
+        assert run_json(capsys, *argv)["variant"] == "distinct"
+
+    def test_ties_on_runs_the_general_variant_on_untied_data(self, capsys):
+        argv = ("test", "--x", "1,3,9,11", "--y", "2,4,6,8", "--n-total", "5")
+        code, out, _ = run_cli(capsys, *argv, "--ties", "on")
+        assert code == EXIT_OK and json.loads(out)["variant"] == "general"
+        assert run_cli(capsys, *argv, "--support", ",") == (code, out, "")
 
     def test_report_round_trip(self, capsys):
         payload = run_json(
-            capsys, "test", "--x", "1,2,3", "--y", "4,5,6", "--n-total", "4", "--ties", "off"
+            capsys, "test", "--x", "1,2,3", "--y", "4,5,6", "--n-total", "4"
         )
         x = Sample((1.0, 2.0, 3.0), 1)
         y = Sample((4.0, 5.0, 6.0))

@@ -38,6 +38,7 @@ def test_mutated_copy_is_flagged_and_the_rest_agrees(tmp_path):
     for field in ("cli_test", "cli_analyze"):
         assert int(codes[field].get("0", 0)) > rows[field][0] / 2, (field, codes[field])
     # results that never reach p_value_bounds agree
-    for field in ("wmw_test", "impute_mean", "impute_hot_deck", "boundary_counts"):
+    for field in ("wmw_test", "tie_corrected_variance", "impute_mean", "impute_hot_deck",
+                  "boundary_counts"):
         assert rows[field] == (200, 0), (field, rows[field])
     assert "first differing instance (" in done.stdout

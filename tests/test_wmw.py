@@ -170,9 +170,9 @@ class TestWmwTest:
 
 class TestImputation:
     def test_mean_imputation(self):
-        assert impute_mean(Sample((1.0, 3.0), 2)) == [1.0, 3.0, 2.0, 2.0]
-        assert impute_mean(Sample((0.0, 0.0, 6.0), 1)) == [0.0, 0.0, 6.0, 2.0]
-        assert impute_mean(Sample((4.0,), 0)) == [4.0]
+        assert impute_mean(Sample((1.0, 3.0), 2)).tolist() == [1.0, 3.0, 2.0, 2.0]
+        assert impute_mean(Sample((0.0, 0.0, 6.0), 1)).tolist() == [0.0, 0.0, 6.0, 2.0]
+        assert impute_mean(Sample((4.0,), 0)).tolist() == [4.0]
 
     def test_mean_requires_observations(self):
         with pytest.raises(DegenerateDataError):
@@ -180,15 +180,15 @@ class TestImputation:
 
     def test_hot_deck_single_donor(self):
         rng = np.random.default_rng(0)
-        assert impute_hot_deck(Sample((7.0,), 3), rng) == [7.0] * 4
+        assert impute_hot_deck(Sample((7.0,), 3), rng).tolist() == [7.0] * 4
 
     def test_hot_deck_no_missing(self):
         rng = np.random.default_rng(0)
-        assert impute_hot_deck(Sample((1.0, 2.0), 0), rng) == [1.0, 2.0]
+        assert impute_hot_deck(Sample((1.0, 2.0), 0), rng).tolist() == [1.0, 2.0]
 
     def test_hot_deck_fixed_seed_regression(self):
         out = impute_hot_deck(Sample((1.0, 2.0), 4), np.random.default_rng(1234))
-        assert out == [1.0, 2.0, 2.0, 2.0, 2.0, 1.0]
+        assert out.tolist() == [1.0, 2.0, 2.0, 2.0, 2.0, 1.0]
 
     def test_hot_deck_requires_observations(self):
         with pytest.raises(DegenerateDataError):

@@ -25,7 +25,12 @@ reports at alpha = 0.05. Fields:
                                       VarBounds with n, m up to 10^6
     boundary_counts                   on the samples' observed values
     wmw_test                          on the observed values, unsorted
-    impute_mean, impute_hot_deck      both completed samples
+    tie_corrected_variance            at (n', m') from tie_profile of the
+                                      pooled observed values
+    impute_mean, impute_hot_deck      both completed samples, as lists of
+                                      Python floats, so that a list and an
+                                      array compare by value (every bit and
+                                      the sign of zero included)
     cli_test                          exit code and output of `rankguard test`
                                       (--support on every other instance)
     cli_analyze                       the same of `rankguard analyze` on a CSV
@@ -171,6 +176,11 @@ def _text(fn) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+def _floats(values) -> list[float]:
+    """A completed sample, list or array, as a list of Python floats."""
+    return np.asarray(values, dtype=float).tolist()
+
+
 def _cli(cli, argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -216,11 +226,13 @@ def _results(rg, inst: dict):
     yield "boundary_counts", _text(lambda: rg.BoundaryCounts.from_observed(
         *(s.observed for s in samples()), support))
     yield "wmw_test", _text(lambda: rg.wmw_test(x_obs, y_obs, alt))
-    yield "impute_mean", _text(lambda: [rg.impute_mean(s) for s in samples()])
+    yield "tie_corrected_variance", _text(lambda: rg.tie_corrected_variance(
+        len(inst["x"]), len(inst["y"]), rg.tie_profile(inst["x"] + inst["y"])))
+    yield "impute_mean", _text(lambda: [_floats(rg.impute_mean(s)) for s in samples()])
 
     def hot_deck():
         rng = np.random.default_rng([inst["i"], 0xD1FF])
-        return [rg.impute_hot_deck(s, rng) for s in samples()]
+        return [_floats(rg.impute_hot_deck(s, rng)) for s in samples()]
 
     yield "impute_hot_deck", _text(hot_deck)
     options = ["--alpha", repr(alpha), "--alternative", CLI_ALTERNATIVES[inst["alternative"]]]
