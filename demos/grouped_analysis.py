@@ -18,7 +18,6 @@ from rankguard import (
     Alternative,
     Sample,
     holm_adjust,
-    relative_change,
     robust_test_distinct,
 )
 
@@ -41,9 +40,9 @@ for label, (enrolled, dropouts, effect) in ARMS.items():
     completion = baseline * effect * rng.lognormal(0.0, 0.55, size=enrolled)
     # the last `dropouts` patients never produce a completion measurement
     observed = [
-        change
+        (c - b) / b
         for b, c, dropped in zip(baseline, completion, np.arange(enrolled) >= enrolled - dropouts)
-        if (change := relative_change(b, None if dropped else c)) is not None
+        if not dropped
     ]
     samples[label] = Sample(tuple(observed), n_missing=dropouts)
 

@@ -19,7 +19,7 @@ from .bounds import (
 from .distributions import Distribution, make_distribution
 from .exceptions import DegenerateDataError, DomainError
 from .gaussian import normal_cdf, normal_quantile
-from .multiplicity import holm_adjust, relative_change
+from .multiplicity import holm_adjust
 from .power import PairProbs, PowerInputs, PowerLimit, asymptotic_class, mcar_power, pair_probs
 from .ranks import (
     Sample,
@@ -86,7 +86,6 @@ __all__ = [
     "null_variance",
     "p_value_bounds",
     "pair_probs",
-    "relative_change",
     "robust_test_distinct",
     "robust_test_general",
     "run_scenario",

@@ -52,15 +52,6 @@ class StatBounds:
         if not 0 <= self.w_min <= self.w_max <= self.n * self.m:
             raise DomainError("bounds must satisfy 0 <= w_min <= w_max <= n*m")
 
-    @property
-    def width(self) -> Fraction:
-        return self.w_max - self.w_min
-
-    @property
-    def mu(self) -> Fraction:
-        """Null mean nm/2 of the statistic."""
-        return Fraction(self.n * self.m, 2)
-
 
 @dataclass(frozen=True)
 class BoundaryCounts:

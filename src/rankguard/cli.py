@@ -4,8 +4,9 @@ Subcommands: ``test`` (one robust comparison), ``feasibility`` (missing-data
 screen), ``power`` (MCAR theory), ``simulate`` (Monte-Carlo sweeps to CSV),
 ``analyze`` (grouped CSV pipeline with familywise correction).
 
-``test`` and ``analyze`` share one comparison step: the robust report in the
-variant that --ties selects, and the feasibility screen of the two samples'
+``test`` and ``analyze`` share one comparison step: the robust report, in the
+general variant when --support is given or the observed values tie and in the
+distinct variant otherwise, and the feasibility screen of the two samples'
 (total, observed) counts. Every subcommand but ``simulate`` prints JSON.
 
 Exit codes: 0 the command ran; 2 malformed input; 3 degenerate data.
@@ -66,27 +67,25 @@ def _read_value_file(path: str, field: str) -> list[float]:
     return _parse_values(text, field)
 
 
-def _parse_support(text: str) -> Support | None:
-    if text.strip().lower() == "none":
-        return None
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise DomainError("support: expected 'lo,hi' (either side may be empty) or 'none'")
-    lower = float(parts[0]) if parts[0].strip() else None
-    upper = float(parts[1]) if parts[1].strip() else None
+def _parse_support(text: str) -> Support:
+    """'lo,hi' with either end empty for no bound there; ',' is the whole line."""
+    try:
+        lower, upper = (float(end) if end.strip() else None for end in text.split(","))
+    except ValueError:  # not two ends, or an end that is not a number
+        raise DomainError(f"support: expected 'lo,hi' (either end may be empty), got {text!r}")
     return Support(lower=lower, upper=upper)
 
 
 def _compare(args: argparse.Namespace, x: Sample, y: Sample) -> tuple[TestReport, FeasibilityReport]:
     """The robust report of x against y at --alpha and --alternative, and the
-    feasibility screen of their (total, observed) counts. --ties "on" runs the
-    general variant, and "auto" runs it when --support is given or the
-    observed values tie, the distinct variant otherwise."""
-    support = _parse_support(args.support) if args.support is not None else None
+    feasibility screen of their (total, observed) counts. The general variant
+    reports on the --support domain when that is given, on the whole line when
+    the observed values tie; the distinct variant reports otherwise."""
     alternative = Alternative.parse(args.alternative)
-    if (args.ties == "on" or support is not None
-            or (tie_profile(np.concatenate((x.observed, y.observed))) > 1).any()):
-        report = robust_test_general(x, y, support or Support(), args.alpha, alternative)
+    if args.support is not None:
+        report = robust_test_general(x, y, _parse_support(args.support), args.alpha, alternative)
+    elif (tie_profile(np.concatenate((x.observed, y.observed))) > 1).any():
+        report = robust_test_general(x, y, Support(), args.alpha, alternative)
     else:
         report = robust_test_distinct(x, y, args.alpha, alternative)
     screen = feasibility(x.total, y.total, x.n_observed, y.n_observed, args.alpha, alternative)
@@ -204,11 +203,6 @@ def _scenario_from_entries(
     else:
         missingness = (MissingnessSpec(entries.get("mechanism", "none"), s_list[0], "both"),)
 
-    support = None  # absent key: derive from the distributions
-    if "support" in entries:
-        # an explicit "none" forces the unbounded domain
-        support = _parse_support(entries["support"]) or Support()
-
     spec = ScenarioSpec(
         dist_x=entries["dist_x"],
         dist_y=entries["dist_y"],
@@ -220,7 +214,8 @@ def _scenario_from_entries(
         trials=int(entries.get("trials", "1000")),
         seed=seed,
         alternative=entries.get("alternative", "two_sided"),
-        support=support,
+        # without the key, the support is derived from the distributions
+        support=_parse_support(entries["support"]) if "support" in entries else None,
     )
     return spec, s_list, sizes
 
@@ -310,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     alpha_alt.add_argument("--alternative", default="two-sided",
                            choices=["two-sided", "greater", "less"])
     variant = argparse.ArgumentParser(add_help=False)
-    variant.add_argument("--support", help="'lo,hi' ('lo,' or ',hi' for one side) or 'none'")
-    variant.add_argument("--ties", default="auto", choices=["auto", "on"])
+    variant.add_argument("--support", help="'lo,hi', either end empty for no bound "
+                         "(',' is the whole line); runs the general variant")
 
     p_test = sub.add_parser("test", parents=[alpha_alt, variant],
                             help="robust two-sample test on one dataset")

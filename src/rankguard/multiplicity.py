@@ -1,5 +1,5 @@
-"""Step-down familywise error control, and a paired-measurement transform
-that ``demos/grouped_analysis.py`` applies before its comparisons."""
+"""Step-down familywise error control for a family of p-values, such as the
+worst-case p-values of several arms against one control."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .exceptions import DomainError
 
-__all__ = ["holm_adjust", "relative_change"]
+__all__ = ["holm_adjust"]
 
 
 def holm_adjust(pvals: Sequence[float]) -> list[float]:
@@ -29,15 +29,3 @@ def holm_adjust(pvals: Sequence[float]) -> list[float]:
         adjusted[idx] = min(1.0, running)
     return adjusted
 
-
-def relative_change(baseline: float, completion: float | None) -> float | None:
-    """Signed relative change (completion - baseline) / baseline.
-
-    A missing completion value propagates as None. A zero baseline is a
-    per-record error.
-    """
-    if baseline == 0:
-        raise DomainError("baseline value is zero; relative change is undefined")
-    if completion is None or (isinstance(completion, float) and math.isnan(completion)):
-        return None
-    return (completion - baseline) / baseline

@@ -200,8 +200,10 @@ def _first(lo: int, hi: int, holds) -> int:
 
 class _DistinctRejection:
     """:func:`robust_test_distinct`'s verdict at fixed (n, m, alpha,
-    alternative) in threshold form: ``rejects(x, y)`` is
-    ``robust_test_distinct(x, y, alpha, alternative).p_max < alpha``.
+    alternative) in threshold form: for samples with n', m' >= 1 observed
+    values and doubled statistic 2W' on them, ``rejects_doubled(n', m', 2W')``
+    is ``robust_test_distinct(x, y, alpha, alternative).p_max < alpha``. With
+    a side entirely missing p_max is 1, and the caller must not ask.
 
     With the variance pinned, p_max < alpha holds iff every attainable value
     of the doubled statistic, d in [2W', 2W' + 2(nm - n'm')], lies in the set
@@ -228,12 +230,6 @@ class _DistinctRejection:
         self.upper = 2 * nm + 1 if alternative is Alternative.X_LESS else (
             _first(2 * nm - top, 2 * nm, in_tail))
 
-    def rejects(self, x: Sample, y: Sample) -> bool:
-        n1, m1 = x.n_observed, y.n_observed
-        # as in _robust_test, an empty side gives p_max = 1
-        return bool(n1 and m1) and self.rejects_doubled(
-            n1, m1, _doubled_wmw_statistic(x.observed, y.observed))
-
     def rejects_doubled(self, n_obs_x: int, n_obs_y: int, doubled: int) -> bool:
         """The verdict from both observed counts, each at least 1, and 2W'."""
         return doubled + 2 * (self.nm - n_obs_x * n_obs_y) <= self.lower or doubled >= self.upper
@@ -258,12 +254,10 @@ def robust_test_general(
 
 
 def _general_p_max(x: Sample, y: Sample, support: Support, alternative: Alternative,
-                   doubled: int | None, sizes: np.ndarray | None) -> float:
+                   doubled: int | None, sizes: np.ndarray) -> float:
     """``robust_test_general(x, y, support, alpha, alternative).p_max``, with
     its errors, from 2W' (None when a side has no observed value) and the
-    tie-group sizes of the observed pool (None when it is empty)."""
-    if sizes is None:
-        raise DomainError("at least one observed value is required")
+    tie-group sizes of the observed pool, which must not be empty."""
     num_min, num_max, den, _ = _variance_ratios(x.total, y.total, sizes, x.n_missing + y.n_missing)
     return _p_bounds(x, y, support, num_min / den, num_max / den, alternative, doubled)[1]
 

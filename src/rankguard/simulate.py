@@ -107,12 +107,20 @@ class ScenarioSpec:
     support: Support | None = None  # None: derive from the distributions
 
     def __post_init__(self) -> None:
-        if isinstance(self.missingness, MissingnessSpec):
-            object.__setattr__(self, "missingness", (self.missingness,))
         object.__setattr__(self, "missingness", tuple(self.missingness))
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "dist_x", make_distribution(self.dist_x).spec)
-        object.__setattr__(self, "dist_y", make_distribution(self.dist_y).spec)
+        dists = make_distribution(self.dist_x), make_distribution(self.dist_y)
+        object.__setattr__(self, "dist_x", dists[0].spec)
+        object.__setattr__(self, "dist_y", dists[1].spec)
+        if self.support is not None:
+            lower, upper = self.support.lower, self.support.upper
+            for dist in dists:
+                low, high = dist.support_bounds
+                if ((lower is not None and (low is None or low < lower))
+                        or (upper is not None and (high is None or high > upper))):
+                    ends = ("" if end is None else format(end, "g") for end in (lower, upper))
+                    raise DomainError(
+                        f"support {','.join(ends)} leaves out values that {dist.spec} can draw")
         if not self.methods:
             raise DomainError("at least one method is required")
         for method in self.methods:
@@ -337,12 +345,15 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, 
             # a robust test is SIGNIFICANT iff p_max < alpha; every other
             # method rejects iff its p-value is below alpha
             try:
+                # an empty side gives p_max = 1; an empty pool, which the
+                # general report refuses, keeps the null for proposed_ties too
                 if method == "proposed":
                     rejected = doubled is not None and distinct.rejects_doubled(n1, m1, doubled)
+                elif method == "proposed_ties":
+                    rejected = sizes is not None and _general_p_max(
+                        x_s, y_s, support, alternative, doubled, sizes) < spec.alpha
                 else:
-                    if method == "proposed_ties":
-                        p = _general_p_max(x_s, y_s, support, alternative, doubled, sizes)
-                    elif method == "ignore":
+                    if method == "ignore":
                         p = _wmw(x_s.observed, y_s.observed, alternative, doubled, sizes)[1]
                     elif method == "mean_impute":
                         p = _wmw(impute_mean(x_s), impute_mean(y_s), alternative)[1]

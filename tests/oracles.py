@@ -157,9 +157,10 @@ def all_multisets(values: Sequence[float], size: int) -> Iterable[tuple[float, .
 def oracle_run_block(spec, start: int, stop: int) -> Counter:
     """The simulator's trial loop as it was before its streams were seeded in
     one vectorised pass: one ``default_rng([seed, trial, role])`` per stream,
-    and ``proposed`` decided by the full report, p_max < alpha. Returns the
-    same (method, 0) rejected / (method, 1) degenerate tallies as
-    ``rankguard.simulate._run_block``."""
+    and ``proposed`` decided by the full report, p_max < alpha. With no
+    observed value on either side ``proposed_ties`` keeps the null, as the
+    report of ``proposed`` does. Returns the same (method, 0) rejected /
+    (method, 1) degenerate tallies as ``rankguard.simulate._run_block``."""
     import numpy as np
 
     from rankguard.distributions import make_distribution
@@ -192,7 +193,8 @@ def oracle_run_block(spec, start: int, stop: int) -> Counter:
                 if method == "proposed":
                     p = robust_test_distinct(x_s, y_s, spec.alpha, alternative).p_max
                 elif method == "proposed_ties":
-                    p = robust_test_general(x_s, y_s, support, spec.alpha, alternative).p_max
+                    p = (robust_test_general(x_s, y_s, support, spec.alpha, alternative).p_max
+                         if x_s.n_observed or y_s.n_observed else 1.0)
                 elif method == "ignore":
                     _, p = wmw_test(x_s.observed, y_s.observed, alternative)
                 elif method == "mean_impute":

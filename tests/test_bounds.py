@@ -118,7 +118,7 @@ class TestStatBoundsDistinct:
         x = Sample((1.0, 3.0), n_missing=2)
         y = Sample((2.0,), n_missing=1)
         b = stat_bounds_general(x, y, Support())
-        assert b.width == b.n * b.m - b.n_obs_x * b.n_obs_y
+        assert b.w_max - b.w_min == b.n * b.m - b.n_obs_x * b.n_obs_y
 
     @given(
         st.sets(st.integers(0, 40), min_size=2, max_size=6),
@@ -176,9 +176,14 @@ class TestStatBoundsGeneral:
         support = Support(1, 4)
         x = Sample((1.0, 2.0, 4.0), 1)
         y = Sample((1.0, 4.0), 1)
-        base = stat_bounds_general(x, y, support).width
-        more_x = stat_bounds_general(Sample(x.observed, 2), y, support).width
-        more_y = stat_bounds_general(x, Sample(y.observed, 2), support).width
+
+        def width(a, b):
+            bounds = stat_bounds_general(a, b, support)
+            return bounds.w_max - bounds.w_min
+
+        base = width(x, y)
+        more_x = width(Sample(x.observed, 2), y)
+        more_y = width(x, Sample(y.observed, 2))
         assert more_x >= base and more_y >= base
 
     def test_half_bounded_zeroes_absent_endpoint(self):
@@ -314,7 +319,7 @@ class TestPValueBounds:
         x = Sample((1.0, 4.0))
         y = Sample((2.0, 3.0))
         b = stat_bounds_general(x, y, Support())
-        assert b.w_min == b.w_max == b.mu
+        assert b.w_min == b.w_max == Fraction(b.n * b.m, 2)
         vb = variance_bounds(x, y)
         p_low, p_high, same_sign = p_value_bounds(b, vb)
         assert p_low == p_high == 1.0

@@ -102,15 +102,27 @@ class TestTestCommand:
         argv = ("test", "--x", "1,2,1,0,1,2,1", "--y", "1,0,0,0,1", "--m-total", "6")
         assert run_json(capsys, *argv)["decision"] == "inconclusive_data_dependent"
 
-    def test_support_none_runs_the_distinct_variant(self, capsys):
-        argv = ("test", "--x", "1,3", "--y", "2,4", "--support", "none")
-        assert run_json(capsys, *argv)["variant"] == "distinct"
-
-    def test_ties_on_runs_the_general_variant_on_untied_data(self, capsys):
+    def test_whole_line_support_runs_the_general_variant_on_untied_data(self, capsys):
         argv = ("test", "--x", "1,3,9,11", "--y", "2,4,6,8", "--n-total", "5")
-        code, out, _ = run_cli(capsys, *argv, "--ties", "on")
-        assert code == EXIT_OK and json.loads(out)["variant"] == "general"
-        assert run_cli(capsys, *argv, "--support", ",") == (code, out, "")
+        general = run_json(capsys, *argv, "--support", ",")
+        distinct = run_json(capsys, *argv)
+        assert (general["variant"], distinct["variant"]) == ("general", "distinct")
+        # no endpoint to tie on: the same attainable statistic range
+        assert (general["w_min"], general["w_max"]) == (distinct["w_min"], distinct["w_max"])
+
+    def test_removed_variant_spellings_exit_2(self, capsys):
+        argv = ("test", "--x", "1,3", "--y", "2,4")
+        code, out, err = run_cli(capsys, *argv, "--support", "none")
+        assert (code, out) == (EXIT_BAD_INPUT, "") and "support" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--ties", "on"])
+        assert exc.value.code == EXIT_BAD_INPUT and "--ties" in capsys.readouterr().err
+
+    def test_malformed_support_exits_2_naming_it(self, capsys):
+        for support in ("abc,", "1", "1,2,3", "0,inf", "3,1"):
+            code, out, err = run_cli(capsys, "test", "--x", "1,3", "--y", "2,4",
+                                     "--support", support)
+            assert (code, out) == (EXIT_BAD_INPUT, "") and "support" in err, (support, err)
 
     def test_report_round_trip(self, capsys):
         payload = run_json(
@@ -225,21 +237,62 @@ class TestSimulateCommand:
 
     def test_explicit_unbounded_support_differs_from_auto(self, capsys, tmp_path):
         # Poisson data: auto-derived support is bounded below at 0, which
-        # buys power for proposed_ties; "support = none" switches it off
+        # buys power for proposed_ties; "support = ," switches it off
         base = (
             "dist_x = poisson(1)\ndist_y = poisson(3)\nn = 60\nm = 60\n"
             "mechanism = mcar\ns = 0.15\nmethods = proposed_ties\n"
             "trials = 80\nseed = 2\n"
         )
         rates = {}
-        for label, extra in (("auto", ""), ("none", "support = none\n")):
+        for label, extra in (("auto", ""), ("unbounded", "support = ,\n")):
             scenario = tmp_path / f"{label}.txt"
             scenario.write_text(base + extra)
             out = tmp_path / f"{label}.csv"
             run_cli(capsys, "simulate", "--scenario", str(scenario), "--out", str(out))
             rates[label] = float(out.read_text().splitlines()[1].split(",")[9])
-        assert rates["auto"] >= rates["none"]
+        assert rates["auto"] >= rates["unbounded"]
         assert rates["auto"] > 0.0
+
+    def test_scenario_support_must_hold_what_the_distributions_draw(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        scenario = tmp_path / "scenario.txt"
+        out = tmp_path / "o.csv"
+        base = ("dist_x = poisson(2)\ndist_y = poisson(2)\nn = 20\nmechanism = mcar\n"
+                "s = 0.1\nmethods = proposed,proposed_ties,ignore\ntrials = 4\n")
+        for support in (",", "-1,", "0,"):
+            scenario.write_text(f"{base}support = {support}\n")
+            code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                                   "--out", str(out), "--workers", "1")
+            assert code == EXIT_OK, (support, err)
+        out.unlink()
+
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("rankguard.simulate._run_block", no_trials)
+        # Poisson draws every nonnegative integer; "none" is no support
+        for support in (",3", "0.5,", "none"):
+            scenario.write_text(f"{base}support = {support}\n")
+            code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                                   "--out", str(out))
+            assert code == EXIT_BAD_INPUT and "support" in err, (support, err)
+            assert not out.exists()
+
+    def test_trials_with_no_observed_value_are_tallied(self, capsys, tmp_path):
+        # MCAR at s = 0.6 deletes the only value on both sides of every trial
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text("dist_x = normal(0,1)\ndist_y = normal(0,1)\nn = 1\n"
+                            "mechanism = mcar\ns = 0.6\nmethods = proposed,proposed_ties,ignore\n"
+                            "trials = 5\n")
+        out = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                               "--out", str(out), "--workers", "1")
+        assert code == EXIT_OK, err
+        rows = {row["method"]: (row["reject_rate"], row["degenerate"])
+                for row in csv.DictReader(out.read_text().splitlines())}
+        assert rows == {"proposed": ("0.0", "0"), "proposed_ties": ("0.0", "0"),
+                        "ignore": ("0.0", "5")}
 
     def test_unknown_method_exits_2_listing_options(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.txt"

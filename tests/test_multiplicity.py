@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rankguard import DomainError, holm_adjust, relative_change
+from rankguard import DomainError, holm_adjust
 
 
 class TestHolmAdjust:
@@ -68,18 +68,3 @@ class TestHolmAdjust:
         for slot, original_index in enumerate(order):
             assert via_shuffle[slot] == direct[original_index]
 
-
-class TestRelativeChange:
-    def test_no_change(self):
-        assert relative_change(5.0, 5.0) == 0.0
-
-    def test_halving(self):
-        assert relative_change(100.0, 50.0) == -0.5
-
-    def test_missing_completion_propagates(self):
-        assert relative_change(3.0, None) is None
-        assert relative_change(3.0, float("nan")) is None
-
-    def test_zero_baseline_is_an_error(self):
-        with pytest.raises(DomainError):
-            relative_change(0.0, 4.0)

@@ -10,19 +10,22 @@ from rankguard import (
     Decision,
     DegenerateDataError,
     DomainError,
+    MissingnessSpec,
     Sample,
+    ScenarioSpec,
     Support,
     feasibility,
     normal_quantile,
     p_value_bounds,
     robust_test_distinct,
     robust_test_general,
+    run_scenario,
     wmw_test,
 )
 
 from rankguard.robust import _DistinctRejection
 
-from oracles import all_multisets, grid_completions, oracle_p, oracle_two_sided_p
+from oracles import all_multisets, grid_completions, oracle_p, oracle_two_sided_p, oracle_wmw
 
 X7 = (1.0, 2.0, 3.0, 2.0, 2.0, 1.0, 1.0)
 Y6 = (3.0,) * 6
@@ -86,11 +89,12 @@ class TestRobustDistinct:
         sigma = math.sqrt(float(rep_d.variance.sigma2_max))
         from rankguard import normal_cdf
 
+        mu = Fraction(b.n * b.m, 2)
         assert rep_d.p_max == pytest.approx(
-            1.0 - normal_cdf(float(b.w_min - b.mu) / sigma), abs=1e-15
+            1.0 - normal_cdf(float(b.w_min - mu) / sigma), abs=1e-15
         )
         assert rep_d.p_min == pytest.approx(
-            1.0 - normal_cdf(float(b.w_max - b.mu) / sigma), abs=1e-15
+            1.0 - normal_cdf(float(b.w_max - mu) / sigma), abs=1e-15
         )
         # x above y favours X_GREATER; the mirrored alternative sees less
         rep_less = robust_test_distinct(x, y, alternative=Alternative.X_LESS)
@@ -161,9 +165,9 @@ class TestDistinctRejection:
     ALPHAS = (1e-6, 0.05, 0.5, 0.7, 0.999)
 
     def test_matches_the_report_on_every_small_instance(self):
-        # every (n', m', 2W') for n, m <= 8, each alternative, the fixed
-        # alphas and alpha within two ulps of the reported p_max; the verdict
-        # from the samples at one fixed alpha, from (n', m', 2W') at the rest
+        # every (n', m', 2W') for n, m <= 8 with n', m' >= 1, each alternative,
+        # the fixed alphas and alpha within two ulps of the reported p_max; at
+        # one fixed alpha 2W' is the samples' own, counted pair by pair
         cache = {}
 
         def rejection(n, m, alpha, alt):
@@ -182,12 +186,13 @@ class TestDistinctRejection:
                             x, y = Sample(xv, n - n1), Sample(yv, m - m1)
                             for alt in Alternative:
                                 p_max = robust_test_distinct(x, y, 0.5, alt).p_max
-                                alpha = self.ALPHAS[(d + n1) % len(self.ALPHAS)]
-                                got = rejection(n, m, alpha, alt).rejects(x, y)
-                                assert got == (p_max < alpha), (n, m, n1, m1, d, alt, alpha)
                                 if not (n1 and m1):
                                     assert p_max == 1.0
                                     continue
+                                alpha = self.ALPHAS[(d + n1) % len(self.ALPHAS)]
+                                doubled = int(2 * oracle_wmw(xv, yv))
+                                got = rejection(n, m, alpha, alt).rejects_doubled(n1, m1, doubled)
+                                assert got == (p_max < alpha), (n, m, n1, m1, d, alt, alpha)
                                 alphas = set(self.ALPHAS)
                                 for step in (math.inf, 0.0):
                                     a = p_max
@@ -204,13 +209,18 @@ class TestDistinctRejection:
 
     def test_an_empty_side_is_never_significant(self):
         # [0, 1] lies inside the x_greater rejection half-line at alpha = 0.9,
-        # yet with no observed x the report gives p_max = 1
+        # yet with no observed x the report gives p_max = 1, and so does the
+        # simulator's proposed method, which reads the thresholds
         x, y = Sample([], 1), Sample([0.0])
         rejection = _DistinctRejection(1, 1, 0.9, Alternative.X_GREATER)
         assert rejection.lower < 0 and rejection.upper == 0
         assert robust_test_distinct(x, y, 0.9, Alternative.X_GREATER).p_max == 1.0
-        assert not rejection.rejects(x, y)
-        assert not rejection.rejects(y, Sample([], 1))
+        assert robust_test_distinct(y, x, 0.9, Alternative.X_GREATER).p_max == 1.0
+        for mechanism in ("x_only", "y_only"):
+            spec = ScenarioSpec("normal(0,1)", "normal(0,1)", 1, 1,
+                                (MissingnessSpec("mcar", 0.6, mechanism),), ("proposed",),
+                                alpha=0.9, trials=20, alternative="x_greater")
+            assert run_scenario(spec).outcomes["proposed"].rejections == 0
 
     def test_two_sided_pieces_never_meet_at_the_mean(self):
         for n, m in ((1, 1), (3, 5), (40, 40)):
@@ -272,7 +282,7 @@ class TestRobustGeneral:
         for alt in Alternative:
             left = robust_test_distinct(Sample((1.0,), 1), Sample((2.0,)), alternative=alt)
             right = robust_test_distinct(Sample((2.0,)), Sample((1.0,), 1), alternative=alt)
-            assert left.w_bounds.w_max == left.w_bounds.mu
+            assert left.w_bounds.w_max == 1  # the mean nm/2
             assert left.condition_same_sign and right.condition_same_sign
         grid = (1.0, 2.0, 3.0)
         support = Support(1, 3)
@@ -308,7 +318,8 @@ class TestRobustGeneral:
         bounded = robust_test_general(x, y, Support(lower=0))
         unbounded = robust_test_general(x, y, Support())
         assert bounded.p_max <= unbounded.p_max
-        assert bounded.w_bounds.width < unbounded.w_bounds.width
+        assert bounded.w_bounds.w_max - bounded.w_bounds.w_min < (
+            unbounded.w_bounds.w_max - unbounded.w_bounds.w_min)
 
 
 class TestAlternativeValidation:

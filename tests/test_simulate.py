@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import time
 from collections import Counter
 from dataclasses import replace
@@ -11,6 +12,7 @@ from rankguard import (
     DomainError,
     MissingnessSpec,
     ScenarioSpec,
+    Support,
     apply_mcar,
     apply_mnar_positive,
     run_scenario,
@@ -134,6 +136,17 @@ class TestScenarioSpec:
                     MissingnessSpec("mnar_positive", 0.1, "x_only"),
                 )
             )
+
+    def test_explicit_support_must_hold_every_draw(self):
+        for dist, support in (("poisson(2)", Support(upper=3)), ("poisson(2)", Support(0.5)),
+                              ("normal(0,1)", Support(lower=-10)),
+                              ("uniform(0,1)", Support(0, 0.99))):
+            with pytest.raises(DomainError, match=r"support .* " + re.escape(dist)):
+                small_spec(dist_x=dist, dist_y=dist, support=support)
+        for dist, support in (("poisson(2)", Support()), ("poisson(2)", Support(-1)),
+                              ("uniform(0,1)", Support(0, 1)),
+                              ("exponential(1)", Support(-1, None))):
+            assert small_spec(dist_x=dist, dist_y=dist, support=support).support == support
 
     def test_mixed_mechanisms_resolve_per_side(self):
         spec = small_spec(
@@ -359,6 +372,8 @@ def _oracle_cells():
     # MCAR deletes the only x value of every trial
     cells.append(cell(n=1, m=5, missingness=(MissingnessSpec("mcar", 0.6),),
                       alternative="x_greater", alpha=0.9))
+    # and here the only value on both sides
+    cells.append(cell(n=1, m=1, missingness=(MissingnessSpec("mcar", 0.6),)))
     return cells
 
 
