@@ -173,9 +173,20 @@ def _parse_scenario_file(path: str) -> dict[str, str]:
     return entries
 
 
+def _scenario_number(key: str, text: str, kind: type) -> Any:
+    """kind(text) for a value of the scenario key; an error names the key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"scenario key {key!r}: {text.strip()!r} is not "
+                          f"{'an integer' if kind is int else 'a number'}")
+
+
 def _scenario_from_entries(
     entries: dict[str, str], seed: int
-) -> tuple[ScenarioSpec, list[float], list[tuple[int, int]]]:
+) -> tuple[ScenarioSpec, list[float] | None, list[tuple[int, int]]]:
+    """The base scenario, the s list (None without the key) and the (n, m)
+    sizes; a side without a mechanism keeps every value."""
     known = {
         "dist_x", "dist_y", "n", "m", "s", "mechanism", "mechanism_x", "mechanism_y",
         "methods", "alpha", "trials", "seed", "alternative", "support",
@@ -187,21 +198,22 @@ def _scenario_from_entries(
         if required not in entries:
             raise DomainError(f"scenario is missing required key {required!r}")
 
-    n_list = [int(tok) for tok in entries["n"].split(",")]
-    m_list = [int(tok) for tok in entries["m"].split(",")] if "m" in entries else list(n_list)
+    def numbers(key: str, kind: type) -> list:
+        return [_scenario_number(key, tok, kind) for tok in entries[key].split(",")]
+
+    n_list = numbers("n", int)
+    m_list = numbers("m", int) if "m" in entries else list(n_list)
     if len(m_list) != len(n_list):
         raise DomainError("n and m lists must have the same length")
     sizes = list(zip(n_list, m_list))
-
-    s_list = [float(tok) for tok in entries.get("s", "0").split(",")]
+    s_list = numbers("s", float) if "s" in entries else None
 
     if "mechanism_x" in entries or "mechanism_y" in entries:
-        missingness = (
-            MissingnessSpec(entries.get("mechanism_x", "none"), s_list[0], "x_only"),
-            MissingnessSpec(entries.get("mechanism_y", "none"), s_list[0], "y_only"),
-        )
+        rules = (("mechanism_x", "x_only"), ("mechanism_y", "y_only"))
     else:
-        missingness = (MissingnessSpec(entries.get("mechanism", "none"), s_list[0], "both"),)
+        rules = (("mechanism", "both"),)
+    missingness = tuple(MissingnessSpec(entries[key], s_list[0] if s_list else 0.0, side)
+                        for key, side in rules if key in entries)
 
     spec = ScenarioSpec(
         dist_x=entries["dist_x"],
@@ -210,8 +222,8 @@ def _scenario_from_entries(
         m=sizes[0][1],
         missingness=missingness,
         methods=tuple(tok.strip() for tok in entries["methods"].split(",") if tok.strip()),
-        alpha=float(entries.get("alpha", "0.05")),
-        trials=int(entries.get("trials", "1000")),
+        alpha=_scenario_number("alpha", entries.get("alpha", "0.05"), float),
+        trials=_scenario_number("trials", entries.get("trials", "1000"), int),
         seed=seed,
         alternative=entries.get("alternative", "two_sided"),
         # without the key, the support is derived from the distributions
@@ -222,7 +234,8 @@ def _scenario_from_entries(
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     entries = _parse_scenario_file(args.scenario)
-    seed = args.seed if args.seed is not None else int(entries.get("seed", "0"))
+    seed = (args.seed if args.seed is not None
+            else _scenario_number("seed", entries.get("seed", "0"), int))
     spec, s_list, sizes = _scenario_from_entries(entries, seed)
     results = sweep(spec, s_values=s_list, sizes=sizes, workers=args.workers)
     write_results_csv(results, args.out)

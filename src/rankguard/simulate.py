@@ -6,10 +6,13 @@ incomplete data. Each trial draws from five random streams, one per role
 (x values, y values, x deletions, y deletions, hot-deck donors), and the
 stream of a role is ``numpy.random.default_rng([seed, trial, role])``, so
 results are bit-identical for a given (spec, seed) no matter how many worker
-processes execute the trials. A block of trials does not build those
-generators: it computes the PCG64 start states of its streams in one
+processes execute the trials. A block of trials does not hash those keys one
+by one: it computes the four words each stream seeds PCG64 with in one
 vectorised pass per 1,024 trials, an exact copy of numpy's SeedSequence
-hashing and PCG64 seeding, and sets them on one reused generator per role.
+hashing, and numpy seeds PCG64 from those words.
+
+A side without a deletion rule keeps every value; the mechanisms are
+``mcar`` and ``mnar_positive``.
 
 Methods
     proposed        robust test, distinct-data variant
@@ -35,6 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import make_distribution
 from .exceptions import DegenerateDataError, DomainError
@@ -57,17 +61,16 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-MECHANISMS = ("mcar", "mnar_positive", "none")
+MECHANISMS = ("mcar", "mnar_positive")
 METHODS = ("proposed", "proposed_ties", "ignore", "mean_impute", "hot_deck", "oracle")
 
 # stream roles for per-trial SeedSequence keys
 _ROLE_X, _ROLE_Y, _ROLE_MISS_X, _ROLE_MISS_Y, _ROLE_HOT_DECK = range(5)
 
-# numpy's SeedSequence hash constants and the PCG64 multiplier
+# numpy's SeedSequence hash constants
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _SEED_CHUNK = 1024  # trials seeded in one pass; a power of two at most 2**32
 
 
@@ -141,24 +144,24 @@ class ScenarioSpec:
         wanted = {"both", f"{side}_only"}
         return [ms for ms in self.missingness if ms.applies_to in wanted]
 
-    def mechanism_for(self, side: str) -> MissingnessSpec:
+    def mechanism_for(self, side: str) -> MissingnessSpec | None:
+        """The side's deletion rule; None for a side that keeps all its values."""
         specs = self._specs_for(side)
-        return specs[0] if specs else MissingnessSpec("none", 0.0, "both")
+        return specs[0] if specs else None
 
     @property
     def s_label(self) -> str:
-        values = sorted({format(ms.s, "g") for ms in self.missingness if ms.mechanism != "none"})
-        if not values:
-            return "0"
-        return ";".join(values)
+        return ";".join(sorted({format(ms.s, "g") for ms in self.missingness})) or "0"
 
     @property
     def mechanism_label(self) -> str:
-        mx = self.mechanism_for("x")
-        my = self.mechanism_for("y")
-        if mx.mechanism == my.mechanism and mx.s == my.s:
-            return mx.mechanism
-        return f"x:{mx.mechanism};y:{my.mechanism}"
+        """The mechanism both sides share at one s, else 'x:<name>;y:<name>',
+        where a side without a rule is named none."""
+        mx, my = self.mechanism_for("x"), self.mechanism_for("y")
+        x_name, y_name = (ms.mechanism if ms else "none" for ms in (mx, my))
+        if x_name == y_name and (mx is None or mx.s == my.s):
+            return x_name
+        return f"x:{x_name};y:{y_name}"
 
 
 @dataclass(frozen=True)
@@ -218,9 +221,9 @@ def apply_mnar_positive(values: Sequence[float], s: float, rng: np.random.Genera
 
 
 def _apply_missingness(
-    values: np.ndarray, ms: MissingnessSpec, rng: np.random.Generator
+    values: np.ndarray, ms: MissingnessSpec | None, rng: np.random.Generator
 ) -> Sample:
-    if ms.mechanism == "none" or ms.s == 0.0:
+    if ms is None or ms.s == 0.0:
         return Sample(values, 0)
     if ms.mechanism == "mcar":
         return apply_mcar(values, ms.s, rng)
@@ -280,11 +283,9 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return np.stack([words[i] | (words[i + 1] << 32) for i in range(0, 8, 2)], axis=1)
 
 
-def _stream_seeds(
-    seed: int, start: int, stop: int, roles: int
-) -> Iterator[tuple[int, list[list[int]]]]:
-    """(trial, the four 64-bit words that ``default_rng([seed, trial, role])``
-    seeds PCG64 with, for roles 0 to roles - 1) for trials start to stop - 1.
+def _stream_seeds(seed: int, start: int, stop: int, roles: int) -> Iterator[list[list[int]]]:
+    """For each of the trials start to stop - 1, the four 64-bit words that
+    ``default_rng([seed, trial, role])`` seeds PCG64 with, for roles 0 to roles - 1.
     The streams are hashed in one vectorised pass per aligned chunk of
     _SEED_CHUNK trials, which keeps memory bounded; a chunk never straddles
     a multiple of 2**32, so all its trials have the same entropy length."""
@@ -295,18 +296,18 @@ def _stream_seeds(
         entropy = np.zeros((len(keys) * roles, max(keys.shape[1] + 1, 4)), dtype=np.uint32)
         entropy[:, : keys.shape[1]] = np.repeat(keys, roles, 0)
         entropy[:, keys.shape[1]] = np.tile(np.arange(roles), len(keys))
-        yield from zip(range(start, end), _seed_words(entropy).reshape(-1, roles, 4).tolist())
+        yield from _seed_words(entropy).reshape(-1, roles, 4).tolist()
         start = end
 
 
-def _pcg64_state(words: Sequence[int]) -> dict:
-    """PCG64's state after seeding with four 64-bit words: the setseq
-    initialisation, in 128-bit arithmetic on Python ints."""
-    state_hi, state_lo, inc_hi, inc_lo = words
-    inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & ((1 << 128) - 1)
-    state = ((inc + ((state_hi << 64) | state_lo)) * _PCG64_MULT + inc) & ((1 << 128) - 1)
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+class _Words(ISeedSequence):
+    """A seed sequence that hands PCG64 the four words _stream_seeds computed."""
+
+    def __init__(self, words: list[int]) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return np.array(self.words, np.uint64)
 
 
 def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, int]]:
@@ -318,23 +319,19 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, 
     ms_y = spec.mechanism_for("y")
     # the hot-deck stream is the last role, drawn only by hot_deck
     roles = _ROLE_HOT_DECK + 1 if "hot_deck" in spec.methods else _ROLE_HOT_DECK
-    generators = [np.random.Generator(np.random.PCG64(0)) for _ in range(roles)]
     if "proposed" in spec.methods:
         distinct = _DistinctRejection(spec.n, spec.m, spec.alpha, alternative)
     # the methods that read the observed pair's tie groups, and those that read its 2W'
     grouped = {"proposed_ties", "ignore"}.intersection(spec.methods)
     paired = grouped | {"proposed"}.intersection(spec.methods)
     tallies: Counter[tuple[str, int]] = Counter()  # (method, 0) rejected, (method, 1) degenerate
-    for trial, seeds in _stream_seeds(spec.seed, start, stop, roles):
-        def stream(role: int) -> np.random.Generator:
-            # the generator default_rng([spec.seed, trial, role]) would build
-            generators[role].bit_generator.state = _pcg64_state(seeds[role])
-            return generators[role]
-
-        x_full = dist_x.sample(stream(_ROLE_X), spec.n)
-        y_full = dist_y.sample(stream(_ROLE_Y), spec.m)
-        x_s = _apply_missingness(x_full, ms_x, stream(_ROLE_MISS_X))
-        y_s = _apply_missingness(y_full, ms_y, stream(_ROLE_MISS_Y))
+    for seeds in _stream_seeds(spec.seed, start, stop, roles):
+        # the generators default_rng([spec.seed, trial, role]) would build
+        streams = [np.random.Generator(np.random.PCG64(_Words(words))) for words in seeds]
+        x_full = dist_x.sample(streams[_ROLE_X], spec.n)
+        y_full = dist_y.sample(streams[_ROLE_Y], spec.m)
+        x_s = _apply_missingness(x_full, ms_x, streams[_ROLE_MISS_X])
+        y_s = _apply_missingness(y_full, ms_y, streams[_ROLE_MISS_Y])
         # one observed summary a trial: 2W' needs values on both sides, the tie groups on one
         n1, m1 = x_s.n_observed, y_s.n_observed
         doubled = (_doubled_wmw_statistic(x_s.observed, y_s.observed)
@@ -358,7 +355,7 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, 
                     elif method == "mean_impute":
                         p = _wmw(impute_mean(x_s), impute_mean(y_s), alternative)[1]
                     elif method == "hot_deck":
-                        rng = stream(_ROLE_HOT_DECK)
+                        rng = streams[_ROLE_HOT_DECK]
                         x_i, y_i = impute_hot_deck(x_s, rng), impute_hot_deck(y_s, rng)
                         p = _wmw(x_i, y_i, alternative)[1]
                     else:  # oracle
@@ -413,7 +410,10 @@ def sweep(
     workers: int = 1,
 ) -> list[ScenarioResult]:
     """Cartesian sweep of a base scenario over missing fractions and sizes;
-    with several workers, every cell runs in the same process pool."""
+    with several workers, every cell runs in the same process pool. An s list
+    needs a base with a deletion rule, which each s is set on."""
+    if s_values is not None and not base.missingness:
+        raise DomainError("an s list needs a deletion rule: the scenario names no mechanism")
     s_list = [None] if s_values is None else list(s_values)
     size_list = [None] if sizes is None else list(sizes)
     specs = []

@@ -324,6 +324,59 @@ class TestSimulateCommand:
         assert code == EXIT_BAD_INPUT and "workers" in err
         assert not out.exists()
 
+    def test_mechanism_none_exits_2_listing_the_mechanisms(self, capsys, tmp_path):
+        out = tmp_path / "o.csv"
+        for line in ("mechanism = none", "mechanism_x = none\nmechanism_y = mcar"):
+            scenario = tmp_path / "scenario.txt"
+            scenario.write_text(SCENARIO.replace("mechanism = mcar", line))
+            code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                                   "--out", str(out))
+            assert code == EXIT_BAD_INPUT and "'none'" in err and "mcar, mnar_positive" in err, err
+            assert not out.exists()
+
+    def test_an_s_list_without_a_mechanism_exits_2(self, capsys, tmp_path, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("rankguard.simulate._run_block", no_trials)
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(SCENARIO.replace("mechanism = mcar\n", "")
+                            .replace("s = 0.1", "s = 0.1,0.2"))
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--out", str(out))
+        assert code == EXIT_BAD_INPUT and "an s list" in err, err
+        assert not out.exists()
+
+    def test_a_side_without_a_mechanism_keeps_every_value(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(SCENARIO.replace("mechanism = mcar", "mechanism_x = mcar"))
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--out", str(out))
+        assert code == EXIT_OK, err
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert {(row["mechanism"], row["s"]) for row in rows} == {("x:mcar;y:none", "0.1")}
+        # no s key and no mechanism: nothing is deleted, and the row says so
+        scenario.write_text(SCENARIO.replace("mechanism = mcar\n", "").replace("s = 0.1\n", ""))
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--out", str(out))
+        assert code == EXIT_OK, err
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert {(row["mechanism"], row["s"]) for row in rows} == {("none", "0")}
+
+    @pytest.mark.parametrize("key, line", [
+        ("n", "n = abc"), ("n", "n = 25,x"), ("m", "m = 2.5"), ("s", "s = 0.1,ten"),
+        ("alpha", "alpha = 5%"), ("alpha", "alpha = 0.05,0.1"), ("trials", "trials = many"),
+        ("seed", "seed = 3.5"),
+    ])
+    def test_a_scenario_number_that_does_not_parse_names_its_key(
+        self, capsys, tmp_path, key, line
+    ):
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(SCENARIO + line + "\n")
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--out", str(out))
+        assert code == EXIT_BAD_INPUT and f"scenario key {key!r}" in err, err
+        assert not out.exists()
+
     def test_seed_precedence(self, capsys, tmp_path):
         # --seed, else the scenario file's seed, else 0
         def csv_bytes(seed_line, *flags):

@@ -21,7 +21,7 @@ from rankguard import (
 )
 from rankguard import simulate
 from rankguard.simulate import (
-    CSV_COLUMNS, METHODS, _missing_count, _pcg64_state, _run_block, _stream_seeds,
+    CSV_COLUMNS, METHODS, _missing_count, _run_block, _stream_seeds, _Words,
 )
 
 from oracles import oracle_run_block
@@ -122,6 +122,20 @@ class TestScenarioSpec:
     def test_unknown_mechanism_is_rejected_with_listing(self):
         with pytest.raises(DomainError, match="mnar_positive"):
             MissingnessSpec("mar", 0.1)
+
+    def test_none_is_not_a_mechanism(self):
+        # a side that keeps every value has no rule
+        with pytest.raises(DomainError, match="mcar, mnar_positive"):
+            MissingnessSpec("none")
+
+    def test_a_side_without_a_rule_keeps_every_value(self):
+        spec = small_spec(missingness=(MissingnessSpec("mcar", 0.1, "x_only"),))
+        assert spec.mechanism_for("x") == MissingnessSpec("mcar", 0.1, "x_only")
+        assert spec.mechanism_for("y") is None
+        assert (spec.mechanism_label, spec.s_label) == ("x:mcar;y:none", "0.1")
+        bare = small_spec(missingness=())
+        assert bare.mechanism_for("x") is bare.mechanism_for("y") is None
+        assert (bare.mechanism_label, bare.s_label) == ("none", "0")
 
     def test_alpha_outside_unit_interval_is_rejected(self):
         for alpha in (0.0, 1.0, 1.5, -0.05, float("nan")):
@@ -284,6 +298,11 @@ class TestSweep:
         with pytest.raises(DomainError, match="workers"):
             run_scenario(small_spec(trials=2), workers=0)
 
+    def test_an_s_list_needs_a_deletion_rule(self):
+        with pytest.raises(DomainError, match="an s list"):
+            sweep(small_spec(missingness=()), s_values=[0.1, 0.2])
+        assert len(sweep(small_spec(missingness=(), trials=2), sizes=[(5, 5), (6, 6)])) == 2
+
     def test_empty_grid(self):
         assert sweep(small_spec(), s_values=[]) == []
 
@@ -311,30 +330,30 @@ class TestSweep:
 
 
 class TestStreamSeeds:
-    """The vectorised copy of numpy's SeedSequence hashing and PCG64 seeding."""
+    """The vectorised copy of numpy's SeedSequence hashing, from which numpy
+    seeds PCG64."""
 
     SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3)
     TRIALS = (0, 1, 4999, 2**32)
 
     def rows(self, seed):
         for trial in self.TRIALS:
-            yield from _stream_seeds(seed, trial, trial + 1, 5)
+            yield trial, next(_stream_seeds(seed, trial, trial + 1, 5))
 
     def test_states_match_numpy(self):
         for seed in self.SEEDS:
             for trial, row in self.rows(seed):
                 for role, words in enumerate(row):
                     bit_generator = np.random.PCG64(np.random.SeedSequence([seed, trial, role]))
-                    assert _pcg64_state(words) == bit_generator.state, (seed, trial, role)
+                    assert np.random.PCG64(_Words(words)).state == bit_generator.state, (
+                        seed, trial, role)
 
     def test_draws_match_default_rng(self):
-        generator = np.random.Generator(np.random.PCG64(0))
         for seed in self.SEEDS:
             for trial, row in self.rows(seed):
                 for role, words in enumerate(row):
                     fresh = np.random.default_rng([seed, trial, role])
-                    # a reused generator, left mid-stream by the previous key
-                    generator.bit_generator.state = _pcg64_state(words)
+                    generator = np.random.Generator(np.random.PCG64(_Words(words)))
                     for draw in (
                         lambda g: g.normal(0.0, 1.0, 7),
                         lambda g: g.poisson(2.0, 7),
@@ -347,12 +366,13 @@ class TestStreamSeeds:
         # seeding goes by aligned chunks of trials; at 2**32 a trial number
         # gains an entropy word
         for start, stop in ((1000, 3100), (2**32 - 1030, 2**32 + 5)):
-            rows = list(_stream_seeds(2**32, start, stop, 3))
-            assert [trial for trial, _ in rows] == list(range(start, stop))
+            rows = list(zip(range(start, stop), _stream_seeds(2**32, start, stop, 3)))
+            assert len(rows) == stop - start
             for trial, row in rows[::61] + rows[-3:]:
                 for role, words in enumerate(row):
                     bit_generator = np.random.PCG64(np.random.SeedSequence([2**32, trial, role]))
-                    assert _pcg64_state(words) == bit_generator.state, (trial, role)
+                    assert np.random.PCG64(_Words(words)).state == bit_generator.state, (
+                        trial, role)
 
 
 def _oracle_cells():
