@@ -272,7 +272,10 @@ def _read_grouped_csv(path: str) -> dict[str, Sample]:
     for group in groups:
         if not groups[group]:
             raise DegenerateDataError(f"group {group!r} has no observed values (all missing)")
-        samples[group] = Sample(groups[group], missing[group])
+        try:
+            samples[group] = Sample(groups[group], missing[group])
+        except (ValueError, ArithmeticError) as exc:
+            raise type(exc)(f"group {group!r}: {exc}") from None
     return samples
 
 
@@ -288,7 +291,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     comparisons = []
     for group, treated in samples.items():
         if group != args.control:
-            report, screen = _compare(args, control, treated)
+            try:
+                report, screen = _compare(args, control, treated)
+            except (ValueError, ArithmeticError) as exc:
+                raise type(exc)(f"group {group!r} vs control {args.control!r}: {exc}") from None
             comparisons.append({"group": group, **report.to_dict(), "feasible": screen.feasible})
     comparisons.sort(key=lambda e: e["group"])
     payload: dict[str, Any] = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -28,24 +28,27 @@ _SPEC_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*\(\s*([^()]*)\s*\)\s*$")
 class Distribution:
     name: str
     params: tuple[float, ...]
+    support_bounds: tuple[float | None, float | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.name == "normal":
-            if len(self.params) != 2 or self.params[1] <= 0:
-                raise DomainError("normal(mu, sigma) requires sigma > 0")
+            bad, bounds = len(self.params) != 2 or self.params[1] <= 0, (None, None)
+            rule = "normal(mu, sigma) requires sigma > 0"
         elif self.name == "poisson":
-            if len(self.params) != 1 or self.params[0] <= 0:
-                raise DomainError("poisson(lam) requires lam > 0")
+            bad, bounds = len(self.params) != 1 or self.params[0] <= 0, (0.0, None)
+            rule = "poisson(lam) requires lam > 0"
         elif self.name == "uniform":
-            if len(self.params) != 2 or not self.params[0] < self.params[1]:
-                raise DomainError("uniform(a, b) requires a < b")
+            bad, bounds = len(self.params) != 2 or not self.params[0] < self.params[1], self.params
+            rule = "uniform(a, b) requires a < b"
         elif self.name == "exponential":
-            if len(self.params) != 1 or self.params[0] <= 0:
-                raise DomainError("exponential(rate) requires rate > 0")
+            bad, bounds = len(self.params) != 1 or self.params[0] <= 0, (0.0, None)
+            rule = "exponential(rate) requires rate > 0"
         else:
-            raise DomainError(
-                f"unknown distribution {self.name!r}; valid: {', '.join(DISTRIBUTION_NAMES)}"
-            )
+            bad, bounds = True, None
+            rule = f"unknown distribution {self.name!r}; valid: {', '.join(DISTRIBUTION_NAMES)}"
+        if bad:
+            raise DomainError(rule)
+        object.__setattr__(self, "support_bounds", tuple(bounds))
 
     @property
     def spec(self) -> str:
@@ -55,16 +58,6 @@ class Distribution:
     @property
     def is_discrete(self) -> bool:
         return self.name == "poisson"
-
-    @property
-    def support_bounds(self) -> tuple[float | None, float | None]:
-        if self.name == "normal":
-            return None, None
-        if self.name == "poisson":
-            return 0.0, None
-        if self.name == "uniform":
-            return self.params[0], self.params[1]
-        return 0.0, None  # exponential
 
     @functools.cached_property
     def _frozen(self):

@@ -11,8 +11,9 @@ by one: it computes the four words each stream seeds PCG64 with in one
 vectorised pass per 1,024 trials, an exact copy of numpy's SeedSequence
 hashing, and numpy seeds PCG64 from those words.
 
-A side without a deletion rule keeps every value; the mechanisms are
-``mcar`` and ``mnar_positive``.
+A ScenarioSpec holds its Distributions, Alternative and ``domain`` (the
+support, else the least one holding both laws' values) parsed once; a side
+with no deletion rule keeps every value. Mechanisms: ``mcar``, ``mnar_positive``.
 
 Methods
     proposed        robust test, distinct-data variant
@@ -33,14 +34,14 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .distributions import make_distribution
+from .distributions import Distribution, make_distribution
 from .exceptions import DegenerateDataError, DomainError
 from .ranks import Sample, Support, _doubled_wmw_statistic, tie_profile
 from .robust import _check, _DistinctRejection, _general_p_max
@@ -95,10 +96,10 @@ class MissingnessSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Everything one Monte-Carlo cell needs, as plain picklable data."""
+    """Everything one Monte-Carlo cell needs, parsed, as plain picklable data."""
 
-    dist_x: str
-    dist_y: str
+    dist_x: Distribution  # a spec string such as "normal(0,1)" is parsed
+    dist_y: Distribution
     n: int
     m: int
     missingness: tuple[MissingnessSpec, ...]
@@ -106,30 +107,33 @@ class ScenarioSpec:
     alpha: float = 0.05
     trials: int = 1000
     seed: int = 0
-    alternative: str = "two_sided"
-    support: Support | None = None  # None: derive from the distributions
+    alternative: Alternative = Alternative.TWO_SIDED  # or a name such as "greater"
+    support: Support | None = None
+    domain: Support = field(init=False, repr=False, compare=False)  # support or both laws' hull
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "missingness", tuple(self.missingness))
         object.__setattr__(self, "methods", tuple(self.methods))
-        dists = make_distribution(self.dist_x), make_distribution(self.dist_y)
-        object.__setattr__(self, "dist_x", dists[0].spec)
-        object.__setattr__(self, "dist_y", dists[1].spec)
-        if self.support is not None:
-            lower, upper = self.support.lower, self.support.upper
-            for dist in dists:
-                low, high = dist.support_bounds
-                if ((lower is not None and (low is None or low < lower))
-                        or (upper is not None and (high is None or high > upper))):
-                    ends = ("" if end is None else format(end, "g") for end in (lower, upper))
-                    raise DomainError(
-                        f"support {','.join(ends)} leaves out values that {dist.spec} can draw")
+        object.__setattr__(self, "dist_x", make_distribution(self.dist_x))
+        object.__setattr__(self, "dist_y", make_distribution(self.dist_y))
+        lows, highs = zip(*(dist.support_bounds for dist in (self.dist_x, self.dist_y)))
+        object.__setattr__(self, "domain", self.support if self.support is not None else Support(
+            None if None in lows else min(lows), None if None in highs else max(highs)))
+        lower, upper = self.domain.lower, self.domain.upper
+        for dist in (self.dist_x, self.dist_y):
+            low, high = dist.support_bounds
+            if ((lower is not None and (low is None or low < lower))
+                    or (upper is not None and (high is None or high > upper))):
+                ends = ("" if end is None else format(end, "g") for end in (lower, upper))
+                raise DomainError(
+                    f"support {','.join(ends)} leaves out values that {dist.spec} can draw")
         if not self.methods:
             raise DomainError("at least one method is required")
         for method in self.methods:
             if method not in METHODS:
                 raise DomainError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-        _check(self.alpha, Alternative.parse(self.alternative))
+        object.__setattr__(self, "alternative", Alternative.parse(self.alternative))
+        _check(self.alpha, self.alternative)
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if self.seed < 0:
@@ -230,16 +234,6 @@ def _apply_missingness(
     return apply_mnar_positive(values, ms.s, rng)
 
 
-def _resolve_support(spec: ScenarioSpec) -> Support:
-    if spec.support is not None:
-        return spec.support
-    lo_x, hi_x = make_distribution(spec.dist_x).support_bounds
-    lo_y, hi_y = make_distribution(spec.dist_y).support_bounds
-    lower = None if lo_x is None or lo_y is None else min(lo_x, lo_y)
-    upper = None if hi_x is None or hi_y is None else max(hi_x, hi_y)
-    return Support(lower=lower, upper=upper)
-
-
 def _entropy_words(value: int) -> list[int]:
     """A nonnegative int as SeedSequence reads it: 32-bit words, low word first."""
     words = [value & _MASK32]
@@ -311,16 +305,12 @@ class _Words(ISeedSequence):
 
 
 def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, int]]:
-    dist_x = make_distribution(spec.dist_x)
-    dist_y = make_distribution(spec.dist_y)
-    support = _resolve_support(spec)
-    alternative = Alternative.parse(spec.alternative)
     ms_x = spec.mechanism_for("x")
     ms_y = spec.mechanism_for("y")
     # the hot-deck stream is the last role, drawn only by hot_deck
     roles = _ROLE_HOT_DECK + 1 if "hot_deck" in spec.methods else _ROLE_HOT_DECK
     if "proposed" in spec.methods:
-        distinct = _DistinctRejection(spec.n, spec.m, spec.alpha, alternative)
+        distinct = _DistinctRejection(spec.n, spec.m, spec.alpha, spec.alternative)
     # the methods that read the observed pair's tie groups, and those that read its 2W'
     grouped = {"proposed_ties", "ignore"}.intersection(spec.methods)
     paired = grouped | {"proposed"}.intersection(spec.methods)
@@ -328,8 +318,8 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, 
     for seeds in _stream_seeds(spec.seed, start, stop, roles):
         # the generators default_rng([spec.seed, trial, role]) would build
         streams = [np.random.Generator(np.random.PCG64(_Words(words))) for words in seeds]
-        x_full = dist_x.sample(streams[_ROLE_X], spec.n)
-        y_full = dist_y.sample(streams[_ROLE_Y], spec.m)
+        x_full = spec.dist_x.sample(streams[_ROLE_X], spec.n)
+        y_full = spec.dist_y.sample(streams[_ROLE_Y], spec.m)
         x_s = _apply_missingness(x_full, ms_x, streams[_ROLE_MISS_X])
         y_s = _apply_missingness(y_full, ms_y, streams[_ROLE_MISS_Y])
         # one observed summary a trial: 2W' needs values on both sides, the tie groups on one
@@ -348,18 +338,18 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, 
                     rejected = doubled is not None and distinct.rejects_doubled(n1, m1, doubled)
                 elif method == "proposed_ties":
                     rejected = sizes is not None and _general_p_max(
-                        x_s, y_s, support, alternative, doubled, sizes) < spec.alpha
+                        x_s, y_s, spec.domain, spec.alternative, doubled, sizes) < spec.alpha
                 else:
                     if method == "ignore":
-                        p = _wmw(x_s.observed, y_s.observed, alternative, doubled, sizes)[1]
+                        p = _wmw(x_s.observed, y_s.observed, spec.alternative, doubled, sizes)[1]
                     elif method == "mean_impute":
-                        p = _wmw(impute_mean(x_s), impute_mean(y_s), alternative)[1]
+                        p = _wmw(impute_mean(x_s), impute_mean(y_s), spec.alternative)[1]
                     elif method == "hot_deck":
                         rng = streams[_ROLE_HOT_DECK]
                         x_i, y_i = impute_hot_deck(x_s, rng), impute_hot_deck(y_s, rng)
-                        p = _wmw(x_i, y_i, alternative)[1]
+                        p = _wmw(x_i, y_i, spec.alternative)[1]
                     else:  # oracle
-                        p = _wmw(x_full, y_full, alternative)[1]
+                        p = _wmw(x_full, y_full, spec.alternative)[1]
                     rejected = p < spec.alpha
             except DegenerateDataError:
                 tallies[method, 1] += 1
@@ -461,8 +451,8 @@ def write_results_csv(results: Iterable[ScenarioResult], path: str) -> None:
                         spec.s_label,
                         spec.n,
                         spec.m,
-                        spec.dist_x,
-                        spec.dist_y,
+                        spec.dist_x.spec,
+                        spec.dist_y.spec,
                         repr(spec.alpha),
                         method,
                         spec.trials,

@@ -13,7 +13,8 @@ import numpy as np
 
 from .exceptions import DegenerateDataError, DomainError
 from .gaussian import normal_cdf
-from .ranks import Sample, _doubled_wmw_statistic, _tie_correction, _tie_variance, tie_profile
+from .ranks import (Sample, _check_finite, _doubled_wmw_statistic, _tie_correction, _tie_variance,
+                    tie_profile)
 
 __all__ = [
     "Alternative",
@@ -32,12 +33,13 @@ class Alternative(enum.Enum):
     X_LESS = "x_less"
 
     @classmethod
-    def parse(cls, text: str) -> "Alternative":
-        key = text.strip().lower().replace("-", "_")
+    def parse(cls, text: "str | Alternative") -> "Alternative":
+        """The Alternative a name, an alias or an Alternative (its own key) denotes."""
+        key = text.strip().lower().replace("-", "_") if isinstance(text, str) else text
         aliases = {"twosided": "two_sided", "greater": "x_greater", "less": "x_less"}
         try:
             return cls(aliases.get(key, key))
-        except ValueError:
+        except (ValueError, TypeError):
             raise DomainError(f"unknown alternative {text!r}") from None
 
 
@@ -88,8 +90,9 @@ def wmw_test(
 
     The statistic is referenced to a normal law with mean nm/2 and the
     tie-corrected null variance, which is the plain nm(n+m+1)/12 on distinct
-    data. No continuity correction is applied.
+    data. No continuity correction is applied; a non-finite value raises DomainError.
     """
+    _check_finite(x_obs, y_obs)
     doubled, p = _wmw(x_obs, y_obs, alternative)
     return Fraction(doubled, 2), p
 

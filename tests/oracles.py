@@ -163,19 +163,14 @@ def oracle_run_block(spec, start: int, stop: int) -> Counter:
     (method, 1) degenerate tallies as ``rankguard.simulate._run_block``."""
     import numpy as np
 
-    from rankguard.distributions import make_distribution
     from rankguard.exceptions import DegenerateDataError
     from rankguard.robust import robust_test_distinct, robust_test_general
     from rankguard.simulate import (
-        _ROLE_HOT_DECK, _ROLE_MISS_X, _ROLE_MISS_Y, _ROLE_X, _ROLE_Y,
-        _apply_missingness, _resolve_support,
+        _ROLE_HOT_DECK, _ROLE_MISS_X, _ROLE_MISS_Y, _ROLE_X, _ROLE_Y, _apply_missingness,
     )
-    from rankguard.wmw import Alternative, impute_hot_deck, impute_mean, wmw_test
+    from rankguard.wmw import impute_hot_deck, impute_mean, wmw_test
 
-    dist_x = make_distribution(spec.dist_x)
-    dist_y = make_distribution(spec.dist_y)
-    support = _resolve_support(spec)
-    alternative = Alternative.parse(spec.alternative)
+    support, alternative = spec.domain, spec.alternative
     ms_x = spec.mechanism_for("x")
     ms_y = spec.mechanism_for("y")
     tallies: Counter[tuple[str, int]] = Counter()  # (method, 0) rejected, (method, 1) degenerate
@@ -183,8 +178,8 @@ def oracle_run_block(spec, start: int, stop: int) -> Counter:
         def stream(role: int) -> np.random.Generator:
             return np.random.default_rng([spec.seed, trial, role])
 
-        x_full = dist_x.sample(stream(_ROLE_X), spec.n)
-        y_full = dist_y.sample(stream(_ROLE_Y), spec.m)
+        x_full = spec.dist_x.sample(stream(_ROLE_X), spec.n)
+        y_full = spec.dist_y.sample(stream(_ROLE_Y), spec.m)
         x_s = _apply_missingness(x_full, ms_x, stream(_ROLE_MISS_X))
         y_s = _apply_missingness(y_full, ms_y, stream(_ROLE_MISS_Y))
         for method in spec.methods:

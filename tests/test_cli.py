@@ -453,6 +453,24 @@ class TestAnalyzeCommand:
         )
         assert code == EXIT_DEGENERATE and "d5" in err
 
+    def test_errors_name_the_group_and_the_control(self, capsys, tmp_path):
+        data = tmp_path / "groups.csv"
+        argv = ("analyze", "--data", str(data), "--control", "a")
+        cases = (
+            ("a,1\na,2\nb,3\nb,9\nc,2\nc,NA", ("--support", "0,5"), EXIT_BAD_INPUT,
+             "group 'b' vs control 'a': observed y value 9.0 lies outside the support"),
+            ("a,1\na,2\nb,inf\nb,NA", (), EXIT_BAD_INPUT,
+             "group 'b': observed contains a non-finite value: inf"),
+            ("a,2\na,2\nb,2", (), EXIT_DEGENERATE,
+             "group 'b' vs control 'a': pooled sample holds a single distinct value"),
+            # an error that names its group already keeps its message
+            ("a,1\nb,NA", (), EXIT_DEGENERATE, "group 'b' has no observed values"),
+        )
+        for rows, options, exit_code, message in cases:
+            data.write_text(f"group,value\n{rows}\n")
+            code, out, err = run_cli(capsys, *argv, *options)
+            assert (code, out) == (exit_code, "") and err.startswith(f"error: {message}"), err
+
     def test_single_group_exits_2(self, capsys, tmp_path):
         data = tmp_path / "one.csv"
         data.write_text("group,value\na,1\na,2\n")

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from rankguard import (
+    Alternative,
     DomainError,
     MissingnessSpec,
     ScenarioSpec,
     Support,
     apply_mcar,
     apply_mnar_positive,
+    make_distribution,
     run_scenario,
     sweep,
     write_results_csv,
@@ -161,6 +163,33 @@ class TestScenarioSpec:
                               ("uniform(0,1)", Support(0, 1)),
                               ("exponential(1)", Support(-1, None))):
             assert small_spec(dist_x=dist, dist_y=dist, support=support).support == support
+
+    def test_domain_is_the_support_else_the_hull_of_both_distributions(self):
+        for dist_x, dist_y, support, domain in (
+                ("normal(0,1)", "poisson(2)", None, Support()),
+                ("poisson(2)", "exponential(1)", None, Support(0, None)),
+                ("uniform(0,1)", "uniform(0.2,1.2)", None, Support(0, 1.2)),
+                ("poisson(2)", "poisson(3)", Support(-1, None), Support(-1, None))):
+            spec = small_spec(dist_x=dist_x, dist_y=dist_y, support=support)
+            assert (spec.dist_x, spec.dist_y) == tuple(map(make_distribution, (dist_x, dist_y)))
+            assert (spec.support, spec.domain) == (support, domain)
+        assert "domain" not in repr(spec)
+
+    def test_replace_derives_the_domain_again(self):
+        spec = small_spec(dist_x="poisson(2)", dist_y="exponential(1)")
+        assert spec.domain == Support(0, None)
+        wider = replace(spec, dist_x="normal(0,1)")
+        assert (wider.dist_x, wider.support, wider.domain) == (
+            make_distribution("normal(0,1)"), None, Support())
+        assert wider == replace(spec, dist_x=make_distribution("normal(0,1)"))
+
+    def test_alternative_is_held_parsed(self):
+        spec = small_spec(alternative=Alternative.X_LESS, trials=5)
+        assert spec.alternative is small_spec(alternative="less").alternative is Alternative.X_LESS
+        assert run_scenario(spec).outcomes == run_scenario(
+            small_spec(alternative="x_less", trials=5)).outcomes
+        with pytest.raises(DomainError, match="unknown alternative None"):
+            small_spec(alternative=None)
 
     def test_mixed_mechanisms_resolve_per_side(self):
         spec = small_spec(
@@ -404,7 +433,8 @@ class TestTrialLoopOracle:
         assert _run_block(spec, start, stop) == oracle_run_block(spec, start, stop)
 
     @pytest.mark.parametrize("spec", _oracle_cells(), ids=lambda spec: (
-        f"{spec.dist_x}-{spec.n}x{spec.m}-{spec.mechanism_label}-{spec.alternative}-{spec.alpha:g}"))
+        f"{spec.dist_x.spec}-{spec.n}x{spec.m}-{spec.mechanism_label}-{spec.alternative.value}-"
+        f"{spec.alpha:g}"))
     def test_counts_match_the_default_rng_loop(self, spec):
         expected = oracle_run_block(spec, 0, spec.trials)
         assert _run_block(spec, 0, spec.trials) == expected
@@ -441,8 +471,8 @@ class TestSharedObservedSummary:
     method; a method run alone must tally exactly as it does among all six."""
 
     @pytest.mark.parametrize("spec", _shared_summary_cells(), ids=lambda spec: (
-        f"{spec.dist_x}-{spec.n}x{spec.m}-{spec.mechanism_label}-{spec.s_label}-"
-        f"{spec.alternative}"))
+        f"{spec.dist_x.spec}-{spec.n}x{spec.m}-{spec.mechanism_label}-{spec.s_label}-"
+        f"{spec.alternative.value}"))
     def test_each_method_alone_tallies_as_among_all_six(self, spec):
         together = _run_block(spec, 0, spec.trials)
         for method in METHODS:

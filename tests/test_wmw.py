@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from rankguard import (
     impute_mean,
     normal_cdf,
     normal_quantile,
+    wmw_statistic,
     wmw_test,
 )
 from rankguard.wmw import tail_p
@@ -76,6 +78,17 @@ class TestWmwTest:
             else:
                 assert wmw_test(x, y, alternative) == (q + Fraction(n * m, 2),
                                                        tail_p(q, sigma2, alternative))
+
+    def test_a_non_finite_value_is_refused_as_sample_refuses_it(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for statistic in (wmw_test, wmw_statistic):
+                with pytest.raises(DomainError, match=f"non-finite value: {bad}"):
+                    statistic([1.0, bad], [2.0, 3.0])
+                with pytest.raises(DomainError, match="non-finite"):
+                    statistic(np.array([2.0, 3.0]), (bad,))
+                # an empty side is refused first
+                with pytest.raises(DegenerateDataError):
+                    statistic([], [bad])
 
     def test_fully_tied_pair_is_degenerate(self):
         with pytest.raises(DegenerateDataError):

@@ -53,10 +53,22 @@ reports at alpha = 0.05. Fields:
                                       deletes the only x value of every trial
 
 A call that raises records its exception type and message, so error messages
-are compared too. The run prints, per field, how many results were compared
-and how many differ, then the exit codes this tree's commands gave, and the
-first differing instance. Exit status: 0 when every result agrees, 1 when
-one differs.
+are compared too.
+
+A commit that changes an output on purpose declares it in
+tools/expected_differences.json, a JSON list of entries
+
+    {"field": "<field>", "kind": "may differ", "reason": "<why>"}
+
+An entry declares every difference in its field. It applies only when the
+parent tree's copy of the file lacks the same entry (a parent without the
+file has none), so an entry covers the commit that adds it and no later one.
+
+The run prints, per field, how many results were compared, how many differ
+undeclared and how many declared, then the exit codes this tree's commands
+gave, and the first instance with an undeclared difference. Exit status: 0
+when no difference is undeclared, 1 when one is, 2 when an entry names a
+field neither tree emits or a kind other than "may differ".
 """
 
 from __future__ import annotations
@@ -79,6 +91,7 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parent
 THIS_SRC = HERE.parent / "src"
+DECLARATIONS = Path("tools") / "expected_differences.json"
 
 ALTERNATIVES = ("two_sided", "x_greater", "x_less")
 CLI_ALTERNATIVES = {"two_sided": "two-sided", "x_greater": "greater", "x_less": "less"}
@@ -299,24 +312,45 @@ def _collect(src: Path, seed: int, count: int) -> dict[tuple[int, str], dict]:
     return {(row["i"], row["field"]): row for row in rows}
 
 
+def _declarations(tree: Path) -> list:
+    path = tree / DECLARATIONS
+    return json.loads(path.read_text()) if path.exists() else []
+
+
+def _refuse(entry) -> int:
+    print(f"bad entry in {DECLARATIONS}: {entry!r}", file=sys.stderr)
+    return 2
+
+
 def compare(parent: Path, seed: int, count: int) -> int:
+    parent_entries = _declarations(parent)
+    entries = [e for e in _declarations(HERE.parent) if e not in parent_entries]
+    for entry in entries:  # the kind before the runs, the field once they show the fields
+        if not isinstance(entry, dict) or entry.get("kind") != "may differ":
+            return _refuse(entry)
     old = _collect(parent / "src", seed, count)
     new = _collect(THIS_SRC, seed, count)
-    fields: dict[str, list[int]] = {}
+    for entry in entries:
+        if entry.get("field") not in {field for _, field in old.keys() | new.keys()}:
+            return _refuse(entry)
+    declared = {entry["field"] for entry in entries}
+    fields: dict[str, list[int]] = {}  # field -> [results, undeclared, declared]
     first = None
     for key in sorted(old.keys() | new.keys()):
-        counts = fields.setdefault(key[1], [0, 0])
+        counts = fields.setdefault(key[1], [0, 0, 0])
         counts[0] += 1
         a, b = old.get(key), new.get(key)
         if a is None or b is None or a["digest"] != b["digest"]:
-            counts[1] += 1
-            first = first or key
-    print(f"{'field':<26}{'results':>9}{'differ':>9}")
-    for field, (total, differ) in sorted(fields.items()):
-        print(f"{field:<26}{total:>9}{differ:>9}")
-    total = sum(c[0] for c in fields.values())
-    differ = sum(c[1] for c in fields.values())
-    print(f"{'all':<26}{total:>9}{differ:>9}")
+            if key[1] in declared:
+                counts[2] += 1
+            else:
+                counts[1] += 1
+                first = first or key
+    print(f"{'field':<26}{'results':>9}{'undeclared':>12}{'declared':>10}")
+    for field, (total, undeclared, expected) in sorted(fields.items()):
+        print(f"{field:<26}{total:>9}{undeclared:>12}{expected:>10}")
+    total, undeclared, expected = (sum(c[k] for c in fields.values()) for k in range(3))
+    print(f"{'all':<26}{total:>9}{undeclared:>12}{expected:>10}")
     exits: dict[str, Counter] = {}
     for (_, field), row in new.items():
         if row["preview"].startswith("exit "):
@@ -330,9 +364,9 @@ def compare(parent: Path, seed: int, count: int) -> int:
     i, field = first
     if i >= 0:
         inst = next(inst for inst in instances(seed, count) if inst["i"] == i)
-        print(f"\nfirst differing instance ({field}):\n{json.dumps(inst)}")
+        print(f"\nfirst undeclared difference, instance ({field}):\n{json.dumps(inst)}")
     else:
-        print(f"\nfirst difference: {field}")
+        print(f"\nfirst undeclared difference: {field}")
     for label, side in (("parent", old), ("this tree", new)):
         row = side.get(first)
         print(f"{label}: {row['preview'] if row else '(no result)'}")
