@@ -15,6 +15,7 @@ its values at the corners of the rectangle these two intervals span.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -57,7 +58,7 @@ class StatBounds:
 class BoundaryCounts:
     """How many observed values sit exactly on the support endpoints.
 
-    Counts are zero whenever the corresponding endpoint does not exist.
+    Counts are zero at an open (infinite) end.
     """
 
     x_at_lower: int = 0
@@ -69,8 +70,9 @@ class BoundaryCounts:
     def from_observed(
         cls, x_obs: Sequence[float], y_obs: Sequence[float], support: Support
     ) -> "BoundaryCounts":
-        def count(values: Sequence[float], end: float | None) -> int:
-            return 0 if end is None else int(np.count_nonzero(np.asarray(values) == end))
+        # the values are raw and may hold an infinity, which no open end counts
+        def count(values: Sequence[float], end: float) -> int:
+            return int(np.count_nonzero(np.asarray(values) == end)) if math.isfinite(end) else 0
 
         a, b = support.lower, support.upper
         return cls(count(x_obs, a), count(x_obs, b), count(y_obs, a), count(y_obs, b))
@@ -97,11 +99,11 @@ def _doubled_stat_bounds(x: Sample, y: Sample, support: Support, doubled: int) -
         if not (support.contains(sample.observed[0]) and support.contains(sample.observed[-1])):
             v = next(v for v in sample.observed.tolist() if not support.contains(v))
             raise DomainError(f"observed {label} value {v!r} lies outside the support")
-    # sorted and inside the support, the values on a lead and those on b trail
+    # sorted and inside the support, the values on a lead and those on b
+    # trail; finite values count none at an open end
     a, b = support.lower, support.upper
-    x_a, y_a = (0 if a is None else int(s.observed.searchsorted(a, "right")) for s in (x, y))
-    x_b, y_b = (0 if b is None else s.n_observed - int(s.observed.searchsorted(b, "left"))
-                for s in (x, y))
+    x_a, y_a = (int(s.observed.searchsorted(a, "right")) for s in (x, y))
+    x_b, y_b = (s.n_observed - int(s.observed.searchsorted(b, "left")) for s in (x, y))
     t1 = y_a * x.n_missing + x_b * y.n_missing
     t2 = x_a * y.n_missing + y_b * x.n_missing
     return doubled + t1, doubled + 2 * (x.total * y.total - x.n_observed * y.n_observed) - t2

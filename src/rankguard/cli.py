@@ -67,28 +67,33 @@ def _read_value_file(path: str, field: str) -> list[float]:
     return _parse_values(text, field)
 
 
-def _parse_support(text: str) -> Support:
-    """'lo,hi' with either end empty for no bound there; ',' is the whole line."""
+def _parse_support(text: str | None) -> Support | None:
+    """'lo,hi' with either end empty for no bound there; ',' is the whole line,
+    and None no support. An end that is given must be finite."""
+    if text is None:
+        return None
     try:
         lower, upper = (float(end) if end.strip() else None for end in text.split(","))
     except ValueError:  # not two ends, or an end that is not a number
         raise DomainError(f"support: expected 'lo,hi' (either end may be empty), got {text!r}")
+    if not all(end is None or math.isfinite(end) for end in (lower, upper)):
+        raise DomainError(f"support: a given end must be finite, got {text!r}")
     return Support(lower=lower, upper=upper)
 
 
-def _compare(args: argparse.Namespace, x: Sample, y: Sample) -> tuple[TestReport, FeasibilityReport]:
-    """The robust report of x against y at --alpha and --alternative, and the
-    feasibility screen of their (total, observed) counts. The general variant
-    reports on the --support domain when that is given, on the whole line when
-    the observed values tie; the distinct variant reports otherwise."""
-    alternative = Alternative.parse(args.alternative)
-    if args.support is not None:
-        report = robust_test_general(x, y, _parse_support(args.support), args.alpha, alternative)
+def _compare(x: Sample, y: Sample, support: Support | None, alpha: float,
+             alternative: Alternative) -> tuple[TestReport, FeasibilityReport]:
+    """The robust report of x against y, and the feasibility screen of their
+    (total, observed) counts. The general variant reports on the support when
+    one is given, on the whole line when the observed values tie; the distinct
+    variant reports otherwise."""
+    if support is not None:
+        report = robust_test_general(x, y, support, alpha, alternative)
     elif (tie_profile(np.concatenate((x.observed, y.observed))) > 1).any():
-        report = robust_test_general(x, y, Support(), args.alpha, alternative)
+        report = robust_test_general(x, y, Support(), alpha, alternative)
     else:
-        report = robust_test_distinct(x, y, args.alpha, alternative)
-    screen = feasibility(x.total, y.total, x.n_observed, y.n_observed, args.alpha, alternative)
+        report = robust_test_distinct(x, y, alpha, alternative)
+    screen = feasibility(x.total, y.total, x.n_observed, y.n_observed, alpha, alternative)
     return report, screen
 
 
@@ -111,7 +116,8 @@ def _cmd_test(args: argparse.Namespace) -> int:
         raise DomainError("--m-total is smaller than the number of observed y values")
     x = Sample(x_values, n_total - len(x_values))
     y = Sample(y_values, m_total - len(y_values))
-    report, screen = _compare(args, x, y)
+    report, screen = _compare(x, y, _parse_support(args.support), args.alpha,
+                              Alternative.parse(args.alternative))
     payload = {**report.to_dict(), "feasibility": screen.to_dict(), "feasible": screen.feasible}
     print(json.dumps(payload, indent=2))
     return EXIT_OK
@@ -227,7 +233,7 @@ def _scenario_from_entries(
         seed=seed,
         alternative=entries.get("alternative", "two_sided"),
         # without the key, the support is derived from the distributions
-        support=_parse_support(entries["support"]) if "support" in entries else None,
+        support=_parse_support(entries.get("support")),
     )
     return spec, s_list, sizes
 
@@ -288,11 +294,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if len(samples) < 2:
         raise DomainError("--data must contain at least two groups")
     control = samples[args.control]
+    support, alternative = _parse_support(args.support), Alternative.parse(args.alternative)
     comparisons = []
     for group, treated in samples.items():
         if group != args.control:
             try:
-                report, screen = _compare(args, control, treated)
+                report, screen = _compare(control, treated, support, args.alpha, alternative)
             except (ValueError, ArithmeticError) as exc:
                 raise type(exc)(f"group {group!r} vs control {args.control!r}: {exc}") from None
             comparisons.append({"group": group, **report.to_dict(), "feasible": screen.feasible})
@@ -300,7 +307,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     payload: dict[str, Any] = {
         "control": args.control,
         "alpha": args.alpha,
-        "alternative": Alternative.parse(args.alternative).value,
+        "alternative": alternative.value,
         "comparisons": comparisons,
     }
     if args.holm:

@@ -9,6 +9,7 @@ distribution is built on first use and kept.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -26,28 +27,33 @@ _SPEC_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*\(\s*([^()]*)\s*\)\s*$")
 
 @dataclass(frozen=True)
 class Distribution:
+    """A named law with its parameters; ``support_bounds`` is the (lower,
+    upper) range of its values, with -inf or inf at an open end."""
+
     name: str
     params: tuple[float, ...]
-    support_bounds: tuple[float | None, float | None] = field(init=False, repr=False, compare=False)
+    support_bounds: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.name == "normal":
-            bad, bounds = len(self.params) != 2 or self.params[1] <= 0, (None, None)
+            bad, bounds = len(self.params) != 2 or self.params[1] <= 0, (-math.inf, math.inf)
             rule = "normal(mu, sigma) requires sigma > 0"
         elif self.name == "poisson":
-            bad, bounds = len(self.params) != 1 or self.params[0] <= 0, (0.0, None)
+            bad, bounds = len(self.params) != 1 or self.params[0] <= 0, (0.0, math.inf)
             rule = "poisson(lam) requires lam > 0"
         elif self.name == "uniform":
             bad, bounds = len(self.params) != 2 or not self.params[0] < self.params[1], self.params
             rule = "uniform(a, b) requires a < b"
         elif self.name == "exponential":
-            bad, bounds = len(self.params) != 1 or self.params[0] <= 0, (0.0, None)
+            bad, bounds = len(self.params) != 1 or self.params[0] <= 0, (0.0, math.inf)
             rule = "exponential(rate) requires rate > 0"
         else:
             bad, bounds = True, None
             rule = f"unknown distribution {self.name!r}; valid: {', '.join(DISTRIBUTION_NAMES)}"
         if bad:
             raise DomainError(rule)
+        if not all(map(math.isfinite, self.params)):
+            raise DomainError(f"{self.spec} requires finite parameters")
         object.__setattr__(self, "support_bounds", tuple(bounds))
 
     @property

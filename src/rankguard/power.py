@@ -82,21 +82,17 @@ def _integrate(fn, lo, hi) -> float:
     return value
 
 
-def _support(dist) -> tuple[float, float]:
-    lo, hi = dist.support_bounds
-    return (-math.inf if lo is None else lo, math.inf if hi is None else hi)
-
-
 def pair_probs(dist_x, dist_y) -> PairProbs:
     """Compute the three ordering probabilities by adaptive quadrature.
 
     Both arguments must be continuous :class:`Distribution` objects (or
-    anything exposing ``pdf``, ``cdf``, ``is_discrete`` and ``support_bounds``).
+    anything exposing ``pdf``, ``cdf``, ``is_discrete`` and ``support_bounds``,
+    the (lower, upper) range integrated over, with -inf or inf at an open end).
     """
     if dist_x.is_discrete or dist_y.is_discrete:
         raise DomainError("pair probabilities require continuous distributions")
-    fx_lo, fx_hi = _support(dist_x)
-    fy_lo, fy_hi = _support(dist_y)
+    fx_lo, fx_hi = dist_x.support_bounds
+    fy_lo, fy_hi = dist_y.support_bounds
     p1 = _integrate(lambda x: dist_x.pdf(x) * (1.0 - dist_y.cdf(x)), fx_lo, fx_hi)
     p2 = _integrate(lambda x: dist_x.pdf(x) * (1.0 - dist_y.cdf(x)) ** 2, fx_lo, fx_hi)
     p3 = _integrate(lambda y: dist_y.pdf(y) * dist_x.cdf(y) ** 2, fy_lo, fy_hi)

@@ -86,28 +86,24 @@ class Sample:
 
 @dataclass(frozen=True)
 class Support:
-    """Domain the values live in: unbounded, or closed below/above."""
+    """Domain the values live in: unbounded, or closed below/above.
 
-    lower: float | None = None
-    upper: float | None = None
+    An open end is -inf or inf; the constructor takes None for one, so
+    ``Support(lower=-math.inf) == Support()``.
+    """
+
+    lower: float = -math.inf
+    upper: float = math.inf
 
     def __post_init__(self) -> None:
-        for name in ("lower", "upper"):
-            v = getattr(self, name)
-            if v is not None:
-                v = float(v)
-                if not math.isfinite(v):
-                    raise DomainError(f"support {name} must be finite or None")
-                object.__setattr__(self, name, v)
-        if self.lower is not None and self.upper is not None and not self.lower < self.upper:
+        object.__setattr__(self, "lower", -math.inf if self.lower is None else float(self.lower))
+        object.__setattr__(self, "upper", math.inf if self.upper is None else float(self.upper))
+        # refuses a NaN end and an infinite end on the wrong side too
+        if not self.lower < self.upper:
             raise DomainError("support requires lower < upper")
 
     def contains(self, value: float) -> bool:
-        if self.lower is not None and value < self.lower:
-            return False
-        if self.upper is not None and value > self.upper:
-            return False
-        return True
+        return self.lower <= value <= self.upper
 
 
 def _doubled_wmw_statistic(x: Sequence[float], y: Sequence[float]) -> int:

@@ -24,6 +24,7 @@ on a closed support can still let the general variant reject there.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -185,19 +186,6 @@ def robust_test_distinct(
     return _robust_test(x, y, Support(), var, alpha, alternative, "distinct")
 
 
-def _first(lo: int, hi: int, holds) -> int:
-    """Smallest d in [lo, hi] where holds(d), for a predicate that fails and
-    then holds along the range; hi + 1 when it never holds."""
-    hi += 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 class _DistinctRejection:
     """:func:`robust_test_distinct`'s verdict at fixed (n, m, alpha,
     alternative) in threshold form: for samples with n', m' >= 1 observed
@@ -223,12 +211,14 @@ class _DistinctRejection:
         def in_tail(d: int) -> bool:
             return tail_p((d - nm) / 2, sigma2, alternative) < alpha
 
-        # two-sided, each piece is searched on its own side of the mean
+        # two-sided, each piece is searched on its own side of the mean: the
+        # first d of [0, top] out of the tail, the first of [start, 2nm] in it
         top = nm if alternative is Alternative.TWO_SIDED else 2 * nm
+        start = 2 * nm - top
         self.lower = -1 if alternative is Alternative.X_GREATER else (
-            _first(0, top, lambda d: not in_tail(d)) - 1)
+            bisect.bisect_left(range(top + 1), True, key=lambda d: not in_tail(d)) - 1)
         self.upper = 2 * nm + 1 if alternative is Alternative.X_LESS else (
-            _first(2 * nm - top, 2 * nm, in_tail))
+            start + bisect.bisect_left(range(start, 2 * nm + 1), True, key=in_tail))
 
     def rejects_doubled(self, n_obs_x: int, n_obs_y: int, doubled: int) -> bool:
         """The verdict from both observed counts, each at least 1, and 2W'."""

@@ -117,14 +117,13 @@ class ScenarioSpec:
         object.__setattr__(self, "dist_x", make_distribution(self.dist_x))
         object.__setattr__(self, "dist_y", make_distribution(self.dist_y))
         lows, highs = zip(*(dist.support_bounds for dist in (self.dist_x, self.dist_y)))
-        object.__setattr__(self, "domain", self.support if self.support is not None else Support(
-            None if None in lows else min(lows), None if None in highs else max(highs)))
-        lower, upper = self.domain.lower, self.domain.upper
+        domain = self.support if self.support is not None else Support(min(lows), max(highs))
+        object.__setattr__(self, "domain", domain)
+        lower, upper = domain.lower, domain.upper
         for dist in (self.dist_x, self.dist_y):
             low, high = dist.support_bounds
-            if ((lower is not None and (low is None or low < lower))
-                    or (upper is not None and (high is None or high > upper))):
-                ends = ("" if end is None else format(end, "g") for end in (lower, upper))
+            if low < lower or high > upper:
+                ends = (format(end, "g") if math.isfinite(end) else "" for end in (lower, upper))
                 raise DomainError(
                     f"support {','.join(ends)} leaves out values that {dist.spec} can draw")
         if not self.methods:

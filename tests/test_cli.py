@@ -119,7 +119,7 @@ class TestTestCommand:
         assert exc.value.code == EXIT_BAD_INPUT and "--ties" in capsys.readouterr().err
 
     def test_malformed_support_exits_2_naming_it(self, capsys):
-        for support in ("abc,", "1", "1,2,3", "0,inf", "3,1"):
+        for support in ("abc,", "1", "1,2,3", "0,inf", ",nan", "3,1"):
             code, out, err = run_cli(capsys, "test", "--x", "1,3", "--y", "2,4",
                                      "--support", support)
             assert (code, out) == (EXIT_BAD_INPUT, "") and "support" in err, (support, err)
@@ -272,7 +272,7 @@ class TestSimulateCommand:
 
         monkeypatch.setattr("rankguard.simulate._run_block", no_trials)
         # Poisson draws every nonnegative integer; "none" is no support
-        for support in (",3", "0.5,", "none"):
+        for support in (",3", "0.5,", "none", ",nan", "inf,"):
             scenario.write_text(f"{base}support = {support}\n")
             code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario),
                                    "--out", str(out))
@@ -312,6 +312,21 @@ class TestSimulateCommand:
         out = tmp_path / "o.csv"
         code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--out", str(out))
         assert code == EXIT_BAD_INPUT and "alpha" in err
+        assert not out.exists()
+
+    def test_a_non_finite_distribution_parameter_exits_2_before_any_trial(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("rankguard.simulate._run_block", no_trials)
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(SCENARIO.replace("dist_x = normal(0,1)", "dist_x = normal(0,nan)"))
+        out = tmp_path / "o.csv"
+        code, out_text, err = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                                      "--out", str(out))
+        assert (code, out_text) == (EXIT_BAD_INPUT, "") and "normal(0,nan)" in err, err
         assert not out.exists()
 
     def test_zero_workers_exits_2(self, capsys, tmp_path):
@@ -470,6 +485,14 @@ class TestAnalyzeCommand:
             data.write_text(f"group,value\n{rows}\n")
             code, out, err = run_cli(capsys, *argv, *options)
             assert (code, out) == (exit_code, "") and err.startswith(f"error: {message}"), err
+
+    def test_a_malformed_support_is_refused_once_naming_no_group(self, capsys, tmp_path):
+        data = tmp_path / "groups.csv"
+        data.write_text("group,value\na,1\na,2\nb,3\nb,4\nc,2\n")
+        code, out, err = run_cli(capsys, "analyze", "--data", str(data), "--control", "a",
+                                 "--support", "1")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == "error: support: expected 'lo,hi' (either end may be empty), got '1'\n"
 
     def test_single_group_exits_2(self, capsys, tmp_path):
         data = tmp_path / "one.csv"

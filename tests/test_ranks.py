@@ -102,6 +102,17 @@ class TestSupport:
         with pytest.raises(DomainError):
             Support(lower=2, upper=2)
 
+    def test_an_infinite_end_is_an_open_end(self):
+        assert Support(lower=-math.inf) == Support() == Support(None, math.inf)
+        assert (Support().lower, Support().upper) == (-math.inf, math.inf)
+
+    @pytest.mark.parametrize("lower, upper", [
+        (math.inf, None), (None, -math.inf), (math.nan, None), (None, math.nan), (0, math.nan),
+    ])
+    def test_refuses_an_end_on_the_wrong_side_or_nan(self, lower, upper):
+        with pytest.raises(DomainError, match="lower < upper"):
+            Support(lower=lower, upper=upper)
+
 
 class TestWmwStatistic:
     def test_extremes_with_distinct_values(self):
