@@ -58,15 +58,6 @@ def _parse_values(text: str, field: str) -> list[float]:
     return out
 
 
-def _read_value_file(path: str, field: str) -> list[float]:
-    try:
-        with open(path) as handle:
-            text = ",".join(line.strip() for line in handle if line.strip())
-    except OSError as exc:
-        raise DomainError(f"{field}: cannot read {path}: {exc}")
-    return _parse_values(text, field)
-
-
 def _parse_support(text: str | None) -> Support | None:
     """'lo,hi' with either end empty for no bound there; ',' is the whole line,
     and None no support. An end that is given must be finite."""
@@ -97,17 +88,8 @@ def _compare(x: Sample, y: Sample, support: Support | None, alpha: float,
     return report, screen
 
 
-def _read_side(args: argparse.Namespace, name: str) -> list[float]:
-    """The observed values of one side of ``test``: --<name>, else --<name>-file."""
-    if getattr(args, name) is not None:
-        return _parse_values(getattr(args, name), f"--{name}")
-    if getattr(args, f"{name}_file") is not None:
-        return _read_value_file(getattr(args, f"{name}_file"), f"--{name}-file")
-    raise DomainError(f"--{name} or --{name}-file is required")
-
-
 def _cmd_test(args: argparse.Namespace) -> int:
-    x_values, y_values = _read_side(args, "x"), _read_side(args, "y")
+    x_values, y_values = _parse_values(args.x, "--x"), _parse_values(args.y, "--y")
     n_total = args.n_total if args.n_total is not None else len(x_values)
     m_total = args.m_total if args.m_total is not None else len(y_values)
     if n_total < len(x_values):
@@ -332,14 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["two-sided", "greater", "less"])
     variant = argparse.ArgumentParser(add_help=False)
     variant.add_argument("--support", help="'lo,hi', either end empty for no bound "
-                         "(',' is the whole line); runs the general variant")
+                         "(',' is the whole line); runs the general variant. A "
+                         "negative lower end needs '=': --support=-1,5")
 
     p_test = sub.add_parser("test", parents=[alpha_alt, variant],
-                            help="robust two-sample test on one dataset")
-    p_test.add_argument("--x", help="comma-separated observed values for sample x")
-    p_test.add_argument("--y", help="comma-separated observed values for sample y")
-    p_test.add_argument("--x-file", help="file with one x value per line")
-    p_test.add_argument("--y-file", help="file with one y value per line")
+                            help="robust two-sample test on one dataset "
+                                 "(a file of values goes through analyze --data)")
+    p_test.add_argument("--x", required=True, help="comma-separated observed values for "
+                        "sample x; a list that starts with '-' needs '=': --x=-1.5,2")
+    p_test.add_argument("--y", required=True, help="comma-separated observed values for "
+                        "sample y; a list that starts with '-' needs '=': --y=-1.5,2")
     p_test.add_argument("--n-total", type=int, help="total size of sample x incl. missing")
     p_test.add_argument("--m-total", type=int, help="total size of sample y incl. missing")
     p_test.set_defaults(func=_cmd_test)

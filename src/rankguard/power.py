@@ -105,20 +105,20 @@ def mcar_power(inputs: PowerInputs) -> float:
     With mu = nm/2 and sigma the uncorrected null deviation, the rejection
     region for the observed statistic is W' < L or W' > R where
 
-        L = sigma z_{alpha/2} + mu - nm + n'm',    R = sigma z_{1-alpha/2} + mu,
+        L = mu - sigma z - nm + n'm',    R = mu + sigma z,    z = z_{1-alpha/2},
 
     and W' is approximately normal with mean m'n'p1 and the two-sample
-    rank-statistic variance built from (p1, p2, p3).
+    rank-statistic variance built from (p1, p2, p3). z is taken from the
+    lower tail, as -z_{alpha/2}, so that an alpha near 0 keeps a finite z.
     """
     n, m = inputs.n, inputs.m
     n1, m1 = inputs.n_obs_x, inputs.n_obs_y
     p1, p2, p3 = inputs.pair.p1, inputs.pair.p2, inputs.pair.p3
     mu = n * m / 2.0
     sigma = math.sqrt(n * m * (n + m + 1) / 12.0)
-    z_lo = normal_quantile(inputs.alpha / 2.0)
-    z_hi = normal_quantile(1.0 - inputs.alpha / 2.0)
-    L = sigma * z_lo + mu - n * m + n1 * m1
-    R = sigma * z_hi + mu
+    z = -normal_quantile(inputs.alpha / 2.0)
+    L = mu - sigma * z - n * m + n1 * m1
+    R = mu + sigma * z
     mu_obs = m1 * n1 * p1
     var_obs = (
         m1 * n1 * p1 * (1.0 - p1)

@@ -29,12 +29,27 @@ __all__ = [
 ]
 
 
+def _sorted_finite(values: Sequence[float]) -> np.ndarray:
+    """A sorted float64 copy of a one-dimensional sequence of finite reals;
+    DomainError names the first non-finite value in input order."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1:
+        raise DomainError(f"observed must be one-dimensional, got shape {values.shape}")
+    ordered = np.sort(values)
+    # sorted, a NaN comes last and an infinity first or last
+    if ordered.size and not -math.inf < ordered[0] <= ordered[-1] < math.inf:
+        bad = float(values[~np.isfinite(values)][0])
+        raise DomainError(f"observed contains a non-finite value: {bad!r}")
+    return ordered
+
+
 @dataclass(frozen=True, eq=False)
 class Sample:
     """Observed values of one sample plus the count of unobserved ones.
 
     ``observed`` is a sorted, read-only float64 array, copied from any
-    one-dimensional sequence of finite reals. The total sample size is
+    one-dimensional sequence of finite reals, with every zero stored as
+    +0.0 (no rank statistic tells -0.0 from 0.0). The total sample size is
     ``len(observed) + n_missing``; the missing values are unknown reals
     (possibly constrained by a :class:`Support`).
     """
@@ -43,19 +58,8 @@ class Sample:
     n_missing: int = 0
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.observed, dtype=float)
-        if values.ndim != 1:
-            raise DomainError(f"observed must be one-dimensional, got shape {values.shape}")
-        observed = np.sort(values)
-        # sorted, a NaN comes last and an infinity first or last
-        if observed.size and not -math.inf < observed[0] <= observed[-1] < math.inf:
-            bad = float(values[~np.isfinite(values)][0])
-            raise DomainError(f"observed contains a non-finite value: {bad!r}")
-        # np.sort may reorder tied zeros and rewrite their signs: put them
-        # back in input order, as a stable sort leaves them
-        lo, hi = observed.searchsorted(0.0, "left"), observed.searchsorted(0.0, "right")
-        if hi - lo > 1:
-            observed[lo:hi] = values[values == 0]
+        observed = _sorted_finite(self.observed)
+        observed += 0.0  # -0.0 + 0.0 is +0.0: one zero, whatever the input's signs
         observed.flags.writeable = False
         object.__setattr__(self, "observed", observed)
         try:
@@ -135,16 +139,15 @@ def wmw_statistic(x: Sequence[float], y: Sequence[float]) -> Fraction:
 
 def tie_profile(pool: Sequence[float]) -> np.ndarray:
     """Sizes of the tie groups of the pooled multiset, ordered by value, as
-    ``np.unique(pool, return_counts=True)`` gives them: every NaN is one group."""
-    pool = np.sort(np.asarray(pool, dtype=float))
+    ``np.unique(pool, return_counts=True)`` gives them. The pool is what
+    :class:`Sample` takes, and a non-finite value raises as it does there."""
+    pool = _sorted_finite(pool)
     if not pool.size:
         raise DomainError("pool must be nonempty")
     # starts[i]: a group starts at i; starts[N] closes the last one
     starts = np.empty(pool.size + 1, dtype=bool)
     starts[0] = starts[-1] = True
     np.not_equal(pool[1:], pool[:-1], out=starts[1:-1])
-    if pool[-1] != pool[-1]:  # NaN != NaN would split the NaNs
-        starts[pool.searchsorted(np.nan) + 1 : -1] = False
     edges = starts.nonzero()[0]
     return edges[1:] - edges[:-1]
 

@@ -17,7 +17,7 @@ uncorrected null variance, so its interval is the plain [W', W' + nm - n'm'].
 
 ``feasibility`` answers a cheaper question first: given only how much data
 is missing, can any observed values make the distinct variant significant?
-Below the threshold on n'm'/(nm), no. In particular, at alpha < 1/2, 30
+At or below the threshold on n'm'/(nm), no. In particular, at alpha < 1/2, 30
 percent missing on both sides is hopeless for that variant. Boundary ties
 on a closed support can still let the general variant reject there.
 """
@@ -260,20 +260,22 @@ def feasibility(
 
     That variant can be significant for some observed data if and only if
 
-        n'm'/(nm) >= 1/2 + z sqrt((n+m+1)/(12nm)),
+        n'm'/(nm) > 1/2 + z sqrt((n+m+1)/(12nm)),
 
     with z = z_{1-alpha/2} for the two-sided test and z_{1-alpha} for a
-    one-sided one. For alpha < 1/2 the right side exceeds 1/2, so once both
-    samples are missing 30 percent or more the answer is no. The general
-    variant is not bound by this screen: observed values tied on the
-    endpoints of a closed support can make it reject below the threshold.
+    one-sided one, taken from the lower tail as -z_{alpha/2} or -z_{alpha},
+    so that an alpha near 0 keeps a finite z. For alpha < 1/2 the right
+    side exceeds 1/2, so once both samples are missing 30 percent or more
+    the answer is no. The general variant is not bound by this screen:
+    observed values tied on the endpoints of a closed support can make it
+    reject at or below the threshold.
     """
     _check(alpha, alternative)
     if not (1 <= n_obs_x <= n and 1 <= n_obs_y <= m):
         raise DomainError("observed counts must satisfy 1 <= n' <= n and 1 <= m' <= m")
     lhs = (n_obs_x * n_obs_y) / (n * m)
     tail = alpha / 2.0 if alternative is Alternative.TWO_SIDED else alpha
-    rhs = 0.5 + normal_quantile(1.0 - tail) * math.sqrt((n + m + 1) / (12.0 * n * m))
+    rhs = 0.5 - normal_quantile(tail) * math.sqrt((n + m + 1) / (12.0 * n * m))
     return FeasibilityReport(
         n=n,
         m=m,
@@ -282,5 +284,5 @@ def feasibility(
         alpha=alpha,
         observed_fraction=lhs,
         threshold=rhs,
-        feasible=lhs >= rhs,
+        feasible=lhs > rhs,
     )

@@ -13,8 +13,7 @@ import numpy as np
 
 from .exceptions import DegenerateDataError, DomainError
 from .gaussian import normal_cdf
-from .ranks import (Sample, _check_finite, _doubled_wmw_statistic, _tie_correction, _tie_variance,
-                    tie_profile)
+from .ranks import Sample, _doubled_wmw_statistic, _tie_correction, _tie_variance, tie_profile
 
 __all__ = [
     "Alternative",
@@ -90,9 +89,9 @@ def wmw_test(
 
     The statistic is referenced to a normal law with mean nm/2 and the
     tie-corrected null variance, which is the plain nm(n+m+1)/12 on distinct
-    data. No continuity correction is applied; a non-finite value raises DomainError.
+    data. No continuity correction is applied; a non-finite value raises
+    DomainError, from :func:`~rankguard.ranks.tie_profile`, once both sides hold values.
     """
-    _check_finite(x_obs, y_obs)
     doubled, p = _wmw(x_obs, y_obs, alternative)
     return Fraction(doubled, 2), p
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -74,13 +75,22 @@ class TestTestCommand:
         assert greater["feasibility"]["threshold"] == pytest.approx(0.5673, abs=1e-4)
         assert run_json(capsys, *argv)["feasible"] is False
 
-    def test_value_files(self, capsys, tmp_path):
-        xf = tmp_path / "x.txt"
-        yf = tmp_path / "y.txt"
-        xf.write_text("1\n2\n3\n")
-        yf.write_text("4\n5\n")
-        payload = run_json(capsys, "test", "--x-file", str(xf), "--y-file", str(yf))
-        assert payload["n"] == 3 and payload["m"] == 2
+    def test_values_and_support_starting_with_minus_attach_with_equals(self, capsys):
+        payload = run_json(capsys, "test", "--x=-1.5,2", "--y=-3,4,5", "--support=-4,6")
+        assert (payload["n"], payload["m"], payload["variant"]) == (2, 3, "general")
+        assert run_json(capsys, "test", "--x=-1.5,2", "--y", "3,4")["variant"] == "distinct"
+
+    def test_both_sides_are_required(self, capsys):
+        for argv in (("--x", "1,2"), ("--y", "1,2")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["test", *argv])
+            assert exc.value.code == EXIT_BAD_INPUT
+            assert "required" in capsys.readouterr().err
+
+    def test_alpha_near_zero_gives_a_finite_threshold(self, capsys):
+        payload = run_json(capsys, "test", "--x", "1,2,3", "--y", "4,5,6", "--alpha", "1e-300")
+        assert math.isfinite(payload["feasibility"]["threshold"]) and payload["feasible"] is False
+        assert payload["decision"] == "not_significant"
 
     def test_malformed_value_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "test", "--x", "1,banana", "--y", "2")
@@ -493,6 +503,21 @@ class TestAnalyzeCommand:
                                  "--support", "1")
         assert (code, out) == (EXIT_BAD_INPUT, "")
         assert err == "error: support: expected 'lo,hi' (either end may be empty), got '1'\n"
+
+    def test_a_negative_support_attaches_with_equals(self, capsys, tmp_path):
+        data = tmp_path / "groups.csv"
+        data.write_text("group,value\na,-1.5\na,2\nb,-3\nb,4\nb,NA\n")
+        payload = run_json(capsys, "analyze", "--data", str(data), "--control", "a",
+                           "--support=-4,6")
+        assert payload["comparisons"][0]["variant"] == "general"
+
+    def test_alpha_near_zero_runs(self, capsys, tmp_path):
+        data = tmp_path / "groups.csv"
+        data.write_text("group,value\na,1\na,2\na,3\nb,4\nb,5\nb,6\n")
+        payload = run_json(capsys, "analyze", "--data", str(data), "--control", "a",
+                           "--alpha", "1e-300")
+        assert payload["alpha"] == 1e-300
+        assert payload["comparisons"][0]["decision"] == "not_significant"
 
     def test_single_group_exits_2(self, capsys, tmp_path):
         data = tmp_path / "one.csv"

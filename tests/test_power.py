@@ -85,6 +85,10 @@ class TestMcarPower:
             values = [power_at(100, delta, s) for s in (0.0, 0.05, 0.1, 0.15, 0.2, 0.3)]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_alpha_near_zero_is_defined(self):
+        for alpha in (1e-17, 1e-300):
+            assert 0.0 <= power_at(100, 1.0, 0.1, alpha) <= 1.0
+
     def test_fractional_observed_counts_are_accepted(self):
         pair = pair_probs(N01, shifted(0.5))
         value = mcar_power(PowerInputs(50, 50, 47.5, 47.5, 0.05, pair))

@@ -399,6 +399,30 @@ class TestFeasibility:
         assert report.p_max == pytest.approx(3.2e-7, rel=0.01)
         assert robust_test_distinct(x, y).decision is not Decision.SIGNIFICANT
 
+    def test_feasible_iff_the_most_extreme_observed_data_reject(self):
+        # sharp means: feasible exactly when 2W' = 0 or 2W' = 2n'm' lets the
+        # distinct variant reject. At one-sided alpha = 1/2 the threshold is
+        # exactly 1/2, and n'm'/(nm) = 1/2 lies on it without rejecting
+        assert not feasibility(1, 2, 1, 1, 0.5, Alternative.X_GREATER).feasible
+        for n in range(1, 9):
+            for m in range(1, 9):
+                for alpha in (0.01, 0.05, 0.3, 0.5, 0.7, 0.9):
+                    for alt in Alternative:
+                        rej = _DistinctRejection(n, m, alpha, alt)
+                        for n1 in range(1, n + 1):
+                            for m1 in range(1, m + 1):
+                                reachable = (rej.rejects_doubled(n1, m1, 0)
+                                             or rej.rejects_doubled(n1, m1, 2 * n1 * m1))
+                                got = feasibility(n, m, n1, m1, alpha, alt).feasible
+                                assert got == reachable, (n, m, n1, m1, alpha, alt)
+
+    def test_alpha_near_zero_gives_a_finite_threshold(self):
+        for alpha in (1e-16, 1e-300):
+            for alt in Alternative:
+                report = feasibility(10, 10, 10, 10, alpha, alt)
+                assert math.isfinite(report.threshold) and report.threshold > 1.0
+                assert not report.feasible
+
     def test_threshold_never_below_half(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
