@@ -17,8 +17,9 @@ import numpy as np
 from rankguard import (
     Alternative,
     Sample,
+    Support,
     holm_adjust,
-    robust_test_distinct,
+    robust_test_general,
 )
 
 rng = np.random.default_rng(2718)
@@ -49,8 +50,8 @@ for label, (enrolled, dropouts, effect) in ARMS.items():
 control = samples["placebo"]
 labels = [label for label in ARMS if label != "placebo"]
 reports = [
-    robust_test_distinct(control, samples[label], alpha=0.05,
-                         alternative=Alternative.X_GREATER)
+    robust_test_general(control, samples[label], Support(), alpha=0.05,
+                        alternative=Alternative.X_GREATER)
     for label in labels
 ]
 adjusted = holm_adjust([r.p_max for r in reports])

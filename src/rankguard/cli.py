@@ -4,10 +4,10 @@ Subcommands: ``test`` (one robust comparison), ``feasibility`` (missing-data
 screen), ``power`` (MCAR theory), ``simulate`` (Monte-Carlo sweeps to CSV),
 ``analyze`` (grouped CSV pipeline with familywise correction).
 
-``test`` and ``analyze`` share one comparison step: the robust report, in the
-general variant when --support is given or the observed values tie and in the
-distinct variant otherwise, and the feasibility screen of the two samples'
-(total, observed) counts. Every subcommand but ``simulate`` prints JSON.
+``test`` and ``analyze`` share one comparison step: the ties-aware robust
+report on --support, the whole line without it, and the feasibility screen
+of the two samples' (total, observed) counts. Every subcommand but
+``simulate`` prints JSON.
 
 Exit codes: 0 the command ran; 2 malformed input; 3 degenerate data.
 """
@@ -22,16 +22,12 @@ import os
 import sys
 from typing import Any, Sequence
 
-import numpy as np
-
 from .distributions import make_distribution
 from .exceptions import DegenerateDataError, DomainError
 from .multiplicity import holm_adjust
 from .power import PowerInputs, asymptotic_class, mcar_power, pair_probs
-from .ranks import Sample, Support, tie_profile
-from .robust import (
-    FeasibilityReport, TestReport, feasibility, robust_test_distinct, robust_test_general,
-)
+from .ranks import Sample, Support
+from .robust import FeasibilityReport, TestReport, feasibility, robust_test_general
 from .simulate import MissingnessSpec, ScenarioSpec, sweep, write_results_csv
 from .wmw import Alternative
 
@@ -74,16 +70,9 @@ def _parse_support(text: str | None) -> Support | None:
 
 def _compare(x: Sample, y: Sample, support: Support | None, alpha: float,
              alternative: Alternative) -> tuple[TestReport, FeasibilityReport]:
-    """The robust report of x against y, and the feasibility screen of their
-    (total, observed) counts. The general variant reports on the support when
-    one is given, on the whole line when the observed values tie; the distinct
-    variant reports otherwise."""
-    if support is not None:
-        report = robust_test_general(x, y, support, alpha, alternative)
-    elif (tie_profile(np.concatenate((x.observed, y.observed))) > 1).any():
-        report = robust_test_general(x, y, Support(), alpha, alternative)
-    else:
-        report = robust_test_distinct(x, y, alpha, alternative)
+    """The general robust report of x against y on the support (the whole line
+    when None) and the feasibility screen of their (total, observed) counts."""
+    report = robust_test_general(x, y, support or Support(), alpha, alternative)
     screen = feasibility(x.total, y.total, x.n_observed, y.n_observed, alpha, alternative)
     return report, screen
 
@@ -312,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     alpha_alt.add_argument("--alpha", type=float, default=0.05)
     alpha_alt.add_argument("--alternative", default="two-sided",
                            choices=["two-sided", "greater", "less"])
-    variant = argparse.ArgumentParser(add_help=False)
-    variant.add_argument("--support", help="'lo,hi', either end empty for no bound "
-                         "(',' is the whole line); runs the general variant. A "
-                         "negative lower end needs '=': --support=-1,5")
+    domain = argparse.ArgumentParser(add_help=False)
+    domain.add_argument("--support", help="'lo,hi' closes the domain, either end empty "
+                        "for no bound; the default is the whole line (','). A "
+                        "negative lower end needs '=': --support=-1,5")
 
-    p_test = sub.add_parser("test", parents=[alpha_alt, variant],
+    p_test = sub.add_parser("test", parents=[alpha_alt, domain],
                             help="robust two-sample test on one dataset "
                                  "(a file of values goes through analyze --data)")
     p_test.add_argument("--x", required=True, help="comma-separated observed values for "
@@ -355,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_an = sub.add_parser("analyze", parents=[alpha_alt, variant],
+    p_an = sub.add_parser("analyze", parents=[alpha_alt, domain],
                           help="group-vs-control analysis of a CSV dataset")
     p_an.add_argument("--data", required=True, help="CSV with header group,value; NA = missing")
     p_an.add_argument("--control", required=True, help="label of the control group")

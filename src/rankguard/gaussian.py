@@ -19,3 +19,11 @@ def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile requires p in (0, 1), got {p!r}")
     return float(ndtri(p))
+
+
+def _half(alpha: float) -> float:
+    """alpha / 2, the tail of a two-sided test at alpha; DomainError where it rounds to 0."""
+    if alpha / 2.0 == 0.0:
+        raise DomainError(f"two-sided alpha {alpha!r} is below the smallest supported "
+                          "two-sided alpha, 1e-323: its half rounds to 0")
+    return alpha / 2.0

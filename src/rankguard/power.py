@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 
 from .exceptions import DomainError
-from .gaussian import normal_cdf, normal_quantile
+from .gaussian import _half, normal_cdf, normal_quantile
 
 __all__ = [
     "PairProbs",
@@ -108,15 +108,15 @@ def mcar_power(inputs: PowerInputs) -> float:
         L = mu - sigma z - nm + n'm',    R = mu + sigma z,    z = z_{1-alpha/2},
 
     and W' is approximately normal with mean m'n'p1 and the two-sample
-    rank-statistic variance built from (p1, p2, p3). z is taken from the
-    lower tail, as -z_{alpha/2}, so that an alpha near 0 keeps a finite z.
+    rank-statistic variance built from (p1, p2, p3). z is taken from the lower
+    tail, as -z_{alpha/2}, so that an alpha near 0 (>= 1e-323) keeps a finite z.
     """
     n, m = inputs.n, inputs.m
     n1, m1 = inputs.n_obs_x, inputs.n_obs_y
     p1, p2, p3 = inputs.pair.p1, inputs.pair.p2, inputs.pair.p3
     mu = n * m / 2.0
     sigma = math.sqrt(n * m * (n + m + 1) / 12.0)
-    z = -normal_quantile(inputs.alpha / 2.0)
+    z = -normal_quantile(_half(inputs.alpha))
     L = mu - sigma * z - n * m + n1 * m1
     R = mu + sigma * z
     mu_obs = m1 * n1 * p1

@@ -120,21 +120,15 @@ def _doubled_wmw_statistic(x: Sequence[float], y: Sequence[float]) -> int:
     return int(y.searchsorted(x, "left").sum() + y.searchsorted(x, "right").sum())
 
 
-def _check_finite(x: Sequence[float], y: Sequence[float]) -> None:
-    """Refuse a non-finite value, as Sample does, unless a side is empty."""
-    pool = np.concatenate((x, y), dtype=float) if len(x) and len(y) else np.zeros(0)
-    if not np.isfinite(pool).all():
-        raise DomainError(f"observed contains a non-finite value: {pool[~np.isfinite(pool)][0]}")
-
-
 def wmw_statistic(x: Sequence[float], y: Sequence[float]) -> Fraction:
     """Two-sample rank statistic: rank sum of x in the pool, less n(n+1)/2.
 
     Ranges over [0, nm]; with distinct values it counts the pairs with
     x above y, and ties contribute half a count.
     """
-    _check_finite(x, y)
-    return Fraction(_doubled_wmw_statistic(x, y), 2)
+    doubled = _doubled_wmw_statistic(x, y)  # an empty side first,
+    _sorted_finite(np.concatenate((x, y), dtype=float))  # then a non-finite value
+    return Fraction(doubled, 2)
 
 
 def tie_profile(pool: Sequence[float]) -> np.ndarray:

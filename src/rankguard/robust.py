@@ -37,7 +37,7 @@ from .bounds import (
     StatBounds, VarBounds, _doubled_stat_bounds, _p_range, _variance_ratios, variance_bounds,
 )
 from .exceptions import DegenerateDataError, DomainError
-from .gaussian import normal_quantile
+from .gaussian import _half, normal_quantile
 from .ranks import Sample, Support, _doubled_wmw_statistic, null_variance
 from .wmw import Alternative, tail_p
 
@@ -133,14 +133,20 @@ def _decide(p_min: float, p_max: float, alpha: float) -> Decision:
     return Decision.NOT_SIGNIFICANT
 
 
+def _refuse_single_value(x: Sample, y: Sample) -> None:
+    """Refuse a one-value pool with nothing missing (sigma2_max = 0), from its sorted ends."""
+    if (not x.n_missing and not y.n_missing
+            and x.observed[0] == x.observed[-1] == y.observed[0] == y.observed[-1]):
+        raise DegenerateDataError("pooled sample holds a single distinct value with nothing "
+                                  "missing; no completion can ever reject")
+
+
 def _p_bounds(x: Sample, y: Sample, support: Support, lo: float, hi: float,
               alternative: Alternative, doubled: int | None) -> tuple[float, float, bool, int, int]:
     """(p_min, p_max, same_sign, 2 w_min, 2 w_max) at the variance bounds lo
     and hi, from 2W'. With one side entirely missing (doubled None) any
     statistic value in [0, nm] is attainable and nothing can be concluded."""
-    if hi == 0:
-        raise DegenerateDataError("pooled sample holds a single distinct value with nothing "
-                                  "missing; no completion can ever reject")
+    _refuse_single_value(x, y)
     nm = x.total * y.total
     if doubled is None:
         return 0.0, 1.0, False, 0, 2 * nm
@@ -172,13 +178,14 @@ def robust_test_distinct(
 
     This is the general test with no support endpoints and the variance
     pinned at the uncorrected nm(n+m+1)/12: the attainable interval is
-    [W', W' + (nm - n'm')]. Ties in the observed data are tolerated (the
-    statistic uses midranks) but do not tighten anything here; use
-    :func:`robust_test_general` to exploit them. On tied data only the
-    SIGNIFICANT verdict keeps its guarantee, and only for a two-sided test or
-    alpha <= 1/2: a completion's tie-corrected variance is below the pinned
-    one, which moves its p-value away from 1/2, below p_min or, on the far
-    side of the mean, above p_max.
+    [W', W' + (nm - n'm')]. It is the paper's rule, which the simulator's
+    ``proposed`` runs; the CLI runs :func:`robust_test_general` instead.
+    Ties are tolerated (the statistic uses midranks) but tighten nothing
+    here. Where a completion ties, observed or missing values alike, only
+    the SIGNIFICANT verdict keeps its guarantee, and only for a two-sided
+    test or alpha <= 1/2: a completion's tie-corrected variance is below the
+    pinned one, which moves its p-value away from 1/2, below p_min or, on the
+    far side of the mean, above p_max. One value with nothing missing raises.
     """
     _check(alpha, alternative)
     sigma2 = null_variance(x.total, y.total)
@@ -191,7 +198,8 @@ class _DistinctRejection:
     alternative) in threshold form: for samples with n', m' >= 1 observed
     values and doubled statistic 2W' on them, ``rejects_doubled(n', m', 2W')``
     is ``robust_test_distinct(x, y, alpha, alternative).p_max < alpha``. With
-    a side entirely missing p_max is 1, and the caller must not ask.
+    a side entirely missing p_max is 1, and on one value with nothing missing
+    the report raises (:func:`_refuse_single_value`); the caller must not ask.
 
     With the variance pinned, p_max < alpha holds iff every attainable value
     of the doubled statistic, d in [2W', 2W' + 2(nm - n'm')], lies in the set
@@ -264,17 +272,17 @@ def feasibility(
 
     with z = z_{1-alpha/2} for the two-sided test and z_{1-alpha} for a
     one-sided one, taken from the lower tail as -z_{alpha/2} or -z_{alpha},
-    so that an alpha near 0 keeps a finite z. For alpha < 1/2 the right
-    side exceeds 1/2, so once both samples are missing 30 percent or more
-    the answer is no. The general variant is not bound by this screen:
-    observed values tied on the endpoints of a closed support can make it
-    reject at or below the threshold.
+    so that an alpha near 0 keeps a finite z (two-sided, alpha >= 1e-323).
+    For alpha < 1/2 the right side exceeds 1/2, so once both samples are
+    missing 30 percent or more the answer is no. The general variant is not
+    bound by this screen: observed values tied on the endpoints of a closed
+    support can make it reject at or below the threshold.
     """
     _check(alpha, alternative)
     if not (1 <= n_obs_x <= n and 1 <= n_obs_y <= m):
         raise DomainError("observed counts must satisfy 1 <= n' <= n and 1 <= m' <= m")
     lhs = (n_obs_x * n_obs_y) / (n * m)
-    tail = alpha / 2.0 if alternative is Alternative.TWO_SIDED else alpha
+    tail = _half(alpha) if alternative is Alternative.TWO_SIDED else alpha
     rhs = 0.5 - normal_quantile(tail) * math.sqrt((n + m + 1) / (12.0 * n * m))
     return FeasibilityReport(
         n=n,

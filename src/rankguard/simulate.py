@@ -44,7 +44,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .distributions import Distribution, make_distribution
 from .exceptions import DegenerateDataError, DomainError
 from .ranks import Sample, Support, _doubled_wmw_statistic, tie_profile
-from .robust import _check, _DistinctRejection, _general_p_max
+from .robust import _check, _DistinctRejection, _general_p_max, _refuse_single_value
 from .wmw import Alternative, _wmw, impute_hot_deck, impute_mean
 
 __all__ = [
@@ -334,6 +334,7 @@ def _run_block(spec: ScenarioSpec, start: int, stop: int) -> Counter[tuple[str, 
                 # an empty side gives p_max = 1; an empty pool, which the
                 # general report refuses, keeps the null for proposed_ties too
                 if method == "proposed":
+                    _refuse_single_value(x_s, y_s)
                     rejected = doubled is not None and distinct.rejects_doubled(n1, m1, doubled)
                 elif method == "proposed_ties":
                     rejected = sizes is not None and _general_p_max(

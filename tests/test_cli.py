@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import random
 
 import pytest
 
-from rankguard import Sample, cli, robust_test_distinct, wmw_test
+from rankguard import (
+    Alternative, Decision, DegenerateDataError, Sample, Support, cli, robust_test_general,
+    wmw_test,
+)
 
 from fixtures import write_eight_arm_fixture
-from oracles import oracle_tie_variance
+from oracles import grid_completions, oracle_p, oracle_tie_variance
 from rankguard.cli import EXIT_BAD_INPUT, EXIT_DEGENERATE, EXIT_OK
 
 
@@ -31,7 +35,7 @@ class TestTestCommand:
         _, p = wmw_test([1, 3, 9, 11], [2, 4, 6, 8])
         assert payload["p_min"] == pytest.approx(p)
         assert payload["p_max"] == pytest.approx(p)
-        assert payload["variant"] == "distinct"
+        assert payload["variant"] == "general"
 
     def test_worked_example_bounds_in_payload(self, capsys):
         payload = run_json(
@@ -78,7 +82,7 @@ class TestTestCommand:
     def test_values_and_support_starting_with_minus_attach_with_equals(self, capsys):
         payload = run_json(capsys, "test", "--x=-1.5,2", "--y=-3,4,5", "--support=-4,6")
         assert (payload["n"], payload["m"], payload["variant"]) == (2, 3, "general")
-        assert run_json(capsys, "test", "--x=-1.5,2", "--y", "3,4")["variant"] == "distinct"
+        assert run_json(capsys, "test", "--x=-1.5,2", "--y", "3,4")["n"] == 2
 
     def test_both_sides_are_required(self, capsys):
         for argv in (("--x", "1,2"), ("--y", "1,2")):
@@ -91,6 +95,15 @@ class TestTestCommand:
         payload = run_json(capsys, "test", "--x", "1,2,3", "--y", "4,5,6", "--alpha", "1e-300")
         assert math.isfinite(payload["feasibility"]["threshold"]) and payload["feasible"] is False
         assert payload["decision"] == "not_significant"
+
+    def test_two_sided_alpha_whose_half_underflows_exits_2(self, capsys):
+        argv = ("test", "--x", "1,2,3", "--y", "4,5,6", "--alpha", "5e-324")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert "alpha 5e-324" in err and "1e-323" in err
+        # the one-sided screen needs no half, and the smallest supported alpha runs
+        assert run_json(capsys, *argv, "--alternative", "greater")["feasible"] is False
+        assert run_json(capsys, *argv[:-1], "1e-323")["decision"] == "not_significant"
 
     def test_malformed_value_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "test", "--x", "1,banana", "--y", "2")
@@ -114,11 +127,11 @@ class TestTestCommand:
 
     def test_whole_line_support_runs_the_general_variant_on_untied_data(self, capsys):
         argv = ("test", "--x", "1,3,9,11", "--y", "2,4,6,8", "--n-total", "5")
-        general = run_json(capsys, *argv, "--support", ",")
-        distinct = run_json(capsys, *argv)
-        assert (general["variant"], distinct["variant"]) == ("general", "distinct")
-        # no endpoint to tie on: the same attainable statistic range
-        assert (general["w_min"], general["w_max"]) == (distinct["w_min"], distinct["w_max"])
+        whole_line = run_json(capsys, *argv, "--support", ",")
+        assert whole_line["variant"] == "general"
+        # a missing value may tie with an observed one: sigma2_min is below nm(n+m+1)/12
+        assert whole_line["sigma2_min"] < whole_line["sigma2_max"] == 5 * 4 * 10 / 12
+        assert run_json(capsys, *argv) == whole_line
 
     def test_removed_variant_spellings_exit_2(self, capsys):
         argv = ("test", "--x", "1,3", "--y", "2,4")
@@ -140,9 +153,62 @@ class TestTestCommand:
         )
         x = Sample((1.0, 2.0, 3.0), 1)
         y = Sample((4.0, 5.0, 6.0))
-        report = robust_test_distinct(x, y).to_dict()
+        report = robust_test_general(x, y, Support()).to_dict()
         for key, value in report.items():
             assert payload[key] == value
+
+
+def _small_instances():
+    """(x', y', missing x, missing y, alternative, alpha) for the comparison
+    without --support: n', m' <= 3 and up to 2 missing a side, observed values
+    drawn distinct from 0..9 or with repeats from 0..2, every alternative and
+    alpha in {0.05, 0.3, 0.7, 0.9}. First the untied case x' = (18), y' = (14)
+    with one y missing: the completion y = (14, 14) does not reject at 0.9."""
+    yield [18.0], [14.0], 0, 1, Alternative.X_LESS, 0.9
+    rng = random.Random(26)
+    for alternative in Alternative:
+        for alpha in (0.05, 0.3, 0.7, 0.9):
+            for tied in (False, True) * 16:
+                n1, m1 = rng.randint(1, 3), rng.randint(1, 3)
+                values = ([rng.randint(0, 2) for _ in range(n1 + m1)] if tied
+                          else rng.sample(range(10), n1 + m1))
+                yield ([float(v) for v in values[:n1]], [float(v) for v in values[n1:]],
+                       rng.randint(0, 2), rng.randint(0, 2), alternative, alpha)
+
+
+class TestCompareWithoutSupport:
+    """Without --support, test and analyze cover every completion on the whole line."""
+
+    def test_significant_means_every_completion_rejects(self):
+        significant = 0
+        for x_obs, y_obs, dx, dy, alternative, alpha in _small_instances():
+            try:
+                report, _ = cli._compare(Sample(x_obs, dx), Sample(y_obs, dy), None, alpha,
+                                         alternative)
+            except DegenerateDataError:
+                continue
+            if report.decision is not Decision.SIGNIFICANT:
+                continue
+            significant += 1
+            # the observed values, the midpoints between them and one beyond each end
+            ends = sorted(set(x_obs + y_obs))
+            grid = [ends[0] - 1, *ends, *((a + b) / 2 for a, b in zip(ends, ends[1:])),
+                    ends[-1] + 1]
+            for cx, cy in grid_completions(x_obs, y_obs, dx, dy, grid):
+                if len(set(cx + cy)) > 1:  # a fully tied completion has no p-value
+                    p = oracle_p(cx, cy, alternative)
+                    assert p < alpha, (x_obs, y_obs, dx, dy, alternative, alpha, cx, cy, p)
+        assert significant >= 40
+
+    def test_no_support_prints_what_the_whole_line_prints(self, capsys):
+        names = {Alternative.TWO_SIDED: "two-sided", Alternative.X_GREATER: "greater",
+                 Alternative.X_LESS: "less"}
+        for x_obs, y_obs, dx, dy, alternative, alpha in _small_instances():
+            argv = ("test", f"--x={','.join(map(repr, x_obs))}",
+                    f"--y={','.join(map(repr, y_obs))}", "--n-total", str(len(x_obs) + dx),
+                    "--m-total", str(len(y_obs) + dy), "--alternative", names[alternative],
+                    "--alpha", repr(alpha))
+            assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--support", ",")
 
 
 class TestFeasibilityCommand:
@@ -201,6 +267,13 @@ class TestPowerCommand:
             "--n", "100", "--m", "100", "--s", "0.5", "--limit",
         )
         assert payload["classification"] == "power_to_zero"
+
+    def test_alpha_whose_half_underflows_exits_2(self, capsys):
+        argv = ("power", "--dist-x", "normal(0,1)", "--dist-y", "normal(1,1)", "--alpha")
+        code, out, err = run_cli(capsys, *argv, "5e-324")
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert "alpha 5e-324" in err and "1e-323" in err
+        assert 0.0 <= run_json(capsys, *argv, "1e-323")["power"] <= 1.0
 
     def test_bad_distribution_exits_2(self, capsys):
         code, _, err = run_cli(

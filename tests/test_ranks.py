@@ -128,6 +128,17 @@ class TestWmwStatistic:
         with pytest.raises(DegenerateDataError):
             wmw_statistic([], [1.0])
 
+    def test_an_empty_side_is_refused_before_a_non_finite_value(self):
+        for x, y in (([], [math.nan]), ([math.nan], [])):
+            with pytest.raises(DegenerateDataError, match="at least one value"):
+                wmw_statistic(x, y)
+        # then the first non-finite value in input order, named as Sample names it
+        for x, y, shown in (([1.0, math.nan], [2.0], "nan"),
+                            ([1.0, -math.inf], [math.nan], "-inf")):
+            with pytest.raises(DomainError) as info:
+                wmw_statistic(x, y)
+            assert str(info.value) == f"observed contains a non-finite value: {shown}"
+
     @given(
         st.lists(st.integers(1, 4), min_size=1, max_size=8),
         st.lists(st.integers(1, 4), min_size=1, max_size=8),

@@ -185,7 +185,12 @@ class TestDistinctRejection:
                             xv, yv = _doubled_split(n1, m1, d)
                             x, y = Sample(xv, n - n1), Sample(yv, m - m1)
                             for alt in Alternative:
-                                p_max = robust_test_distinct(x, y, 0.5, alt).p_max
+                                try:
+                                    p_max = robust_test_distinct(x, y, 0.5, alt).p_max
+                                except DegenerateDataError:
+                                    # one value, nothing missing: the caller must not ask
+                                    assert (n1, m1) == (n, m) and set(xv) == set(yv)
+                                    continue
                                 if not (n1 and m1):
                                     assert p_max == 1.0
                                     continue
@@ -221,6 +226,21 @@ class TestDistinctRejection:
                                 (MissingnessSpec("mcar", 0.6, mechanism),), ("proposed",),
                                 alpha=0.9, trials=20, alternative="x_greater")
             assert run_scenario(spec).outcomes["proposed"].rejections == 0
+
+    def test_a_single_value_with_nothing_missing_is_degenerate(self):
+        # the thresholds would say SIGNIFICANT (p 0.5 < 0.9), as the report
+        # once did; the general test and wmw_test refuse such a pool
+        x, y = Sample([4.0]), Sample([4.0])
+        assert _DistinctRejection(1, 1, 0.9, Alternative.X_LESS).rejects_doubled(1, 1, 1)
+        for test in (lambda: robust_test_distinct(x, y, 0.9, Alternative.X_LESS),
+                     lambda: robust_test_general(x, y, Support(), 0.9, Alternative.X_LESS),
+                     lambda: wmw_test(x.observed, y.observed, Alternative.X_LESS)):
+            with pytest.raises(DegenerateDataError):
+                test()
+        with pytest.raises(DegenerateDataError, match="single distinct value"):
+            robust_test_distinct(Sample([4.0, 4.0]), Sample([4.0]))
+        # one missing value can break the tie
+        assert robust_test_distinct(Sample([4.0], 1), y, 0.9).p_max == 1.0
 
     def test_two_sided_pieces_never_meet_at_the_mean(self):
         for n, m in ((1, 1), (3, 5), (40, 40)):

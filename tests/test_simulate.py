@@ -423,6 +423,10 @@ def _oracle_cells():
                       alternative="x_greater", alpha=0.9))
     # and here the only value on both sides
     cells.append(cell(n=1, m=1, missingness=(MissingnessSpec("mcar", 0.6),)))
+    # nothing missing, and most pools hold the one value 0: proposed is degenerate there
+    cells.append(cell(dist_x="poisson(0.1)", dist_y="poisson(0.1)", n=1, m=2,
+                      missingness=(MissingnessSpec("mcar", 0.0),), alternative="x_less",
+                      alpha=0.7))
     return cells
 
 
@@ -449,7 +453,8 @@ class TestTrialLoopOracle:
             outcome = run_scenario(spec).outcomes["proposed"]
             verdicts["rejected"] += outcome.rejections
             verdicts["kept"] += outcome.trials - outcome.rejections
-        assert verdicts["rejected"] > 0 and verdicts["kept"] > 0
+            verdicts["degenerate"] += outcome.degenerate
+        assert verdicts["rejected"] > 0 and verdicts["kept"] > 0 and verdicts["degenerate"] > 0
 
 
 def _shared_summary_cells():

@@ -32,7 +32,8 @@ reports at alpha = 0.05. Fields:
                                       array compare by value (every bit and
                                       the sign of zero included)
     cli_test                          exit code and output of `rankguard test`
-                                      (--support on every other instance)
+                                      (--support on every other instance, the
+                                      whole line on the rest)
     cli_analyze                       the same of `rankguard analyze` on a CSV
                                       holding the two sides as groups a and b,
                                       one NA row per missing value
@@ -249,7 +250,7 @@ def _results(rg, inst: dict):
 
     yield "impute_hot_deck", _text(hot_deck)
     options = ["--alpha", repr(alpha), "--alternative", CLI_ALTERNATIVES[inst["alternative"]]]
-    if inst["i"] % 2 == 0:  # else no --support: the variant follows the ties
+    if inst["i"] % 2 == 0:  # else no --support: the whole line
         ends = ("" if end is None else repr(end) for end in (lower, upper))
         options.append("--support=" + ",".join(ends))
     yield "cli_test", _cli(cli, [
